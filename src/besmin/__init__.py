@@ -6,7 +6,6 @@ from .build import (
     build_graph,
     build_srf_graph,
     normalise_graph,
-    normalised_bes,
     normalise_pipeline,
     reduce_graph,
 )
@@ -19,9 +18,8 @@ from .errors import (
     WellFormednessError,
 )
 from .fixtures import fixture, fixture_names, fixture_text
-from .generate import GenConfig, gen_bes, gen_srf_bes, shrink_bes
+from .generate import GenConfig, gen_bes, gen_srf_bes
 from .graph import (
-    BisimWitness,
     Decoration,
     DependencyGraph,
     Op,
@@ -29,13 +27,10 @@ from .graph import (
     bisimilar,
     dependency_as_structure_graph,
     graph_isomorphic,
-    graph_to_bes,
     is_bessy,
     minimize,
     parse_graph,
-    rhs,
     serialize_graph,
-    term,
     to_dependency_graph,
     to_dot,
     translate,

@@ -17,14 +17,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import BesError, OpenSystemError, UnrankedCycleError
-from .graph import (
-    BisimWitness,
-    Decoration,
-    Op,
-    StructureGraph,
-    bisimilar,
-    translate,
-)
+from .graph import Decoration, Op, StructureGraph, bisimilar, translate
 from .syntax import (
     And,
     AndSet,
@@ -37,21 +30,19 @@ from .syntax import (
     bnd,
     format_formula,
     formula_key,
-    is_closed,
     is_general_syntax,
     is_srf,
     least_variable,
     occ,
     ranks,
+    require_closed,
 )
 
 
 def _check_closed_nonempty(es: EquationSystem) -> None:
     if not es.equations:
         raise BesError("structure graphs are defined for non-empty systems")
-    if not is_closed(es):
-        unbound = sorted(occ(es) - bnd(es))
-        raise OpenSystemError(f"system is open; unbound: {', '.join(unbound)}")
+    require_closed(es)
 
 
 def _finish(init: Formula, seeds: list[Formula], deco_of, succ_of) -> StructureGraph:
@@ -75,18 +66,11 @@ def _finish(init: Formula, seeds: list[Formula], deco_of, succ_of) -> StructureG
     return StructureGraph(ids[init], deco, edges, labels)
 
 
-def build_graph(
-    es: EquationSystem,
-    t: Optional[Formula] = None,
-    literal_decorations: bool = False,
-) -> StructureGraph:
+def build_graph(es: EquationSystem, t: Optional[Formula] = None) -> StructureGraph:
     """Structure graph of formula ``t`` in the context of a closed system.
 
     The node set is the part reachable from ``t`` together with all bound
-    variables.  With ``literal_decorations`` the flattening premises also
-    fire through variables whose derived decoration matches the
-    connective; this experimental reading is rejected when it leads to
-    circular support.
+    variables.
     """
     _check_closed_nonempty(es)
     if t is None:
@@ -107,21 +91,9 @@ def build_graph(
     rhs_map = {eq.lhs: eq.rhs for eq in es}
     rank_map = ranks(es)
 
-    # For the literal reading: a variable "counts as" a connective when
-    # its derived decoration carries that connective.
-    expanding: set[str] = set()
-
-    def counts_as(f: Formula, conj: bool) -> bool:
-        if isinstance(f, And if conj else Or):
-            return True
-        if literal_decorations and isinstance(f, Var):
-            g = rhs_map[f.name]
-            return isinstance(g, And if conj else Or)
-        return False
-
     def parts(f: Formula, conj: bool) -> list[Formula]:
         # successors contributed by subterm f of a conj/disj term
-        if counts_as(f, conj):
+        if isinstance(f, And if conj else Or):
             return successors(f)
         return [f]
 
@@ -133,18 +105,9 @@ def build_graph(
         if isinstance(f, Or):
             return _dedupe(parts(f.left, False) + parts(f.right, False))
         if isinstance(f, Var):
-            if f.name in expanding:
-                raise BesError(
-                    f"literal decoration reading has circular support "
-                    f"through variable {f.name}"
-                )
             g = rhs_map[f.name]
             if isinstance(g, (And, Or)):
-                expanding.add(f.name)
-                try:
-                    return successors(g)
-                finally:
-                    expanding.discard(f.name)
+                return successors(g)
             return [g]
         raise TypeError(f"not a general-syntax formula: {f!r}")
 
@@ -308,16 +271,10 @@ def normalise_pipeline(es: EquationSystem) -> NormalisationResult:
     return NormalisationResult(g, system, names, variable_map)
 
 
-def normalised_bes(es: EquationSystem) -> EquationSystem:
-    """Rebuild a system in SRF through the graph pipeline
-    (build, eliminate constants, rank every node, translate back)."""
-    return normalise_pipeline(es).system
-
-
 def bisimilar_in_context(
     es: EquationSystem,
     f: Formula,
     es2: EquationSystem,
     f2: Formula,
-) -> Optional[BisimWitness]:
+) -> bool:
     return bisimilar(build_graph(es, f), build_graph(es2, f2))

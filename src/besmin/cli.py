@@ -19,12 +19,11 @@ from .solve import solve_gauss, solve_recursive
 from .syntax import (
     EquationSystem,
     alternation_hierarchy,
-    bnd,
     is_closed,
-    is_srf,
     occ,
     print_bes,
     ranks,
+    require_closed,
     size,
 )
 from .verify import verify_system
@@ -58,14 +57,6 @@ def _load_system(args) -> EquationSystem:
         raise _CliFailure(str(exc), EXIT_INVALID)
 
 
-def _require_closed(es: EquationSystem) -> None:
-    if not is_closed(es):
-        unbound = sorted(occ(es) - bnd(es))
-        raise _CliFailure(
-            f"system is open; unbound: {', '.join(unbound)}", EXIT_PRECONDITION
-        )
-
-
 def _cmd_check(args) -> int:
     es = _load_system(args)
     print(f"equations: {len(es.equations)}")
@@ -87,7 +78,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_solve(args) -> int:
     es = _load_system(args)
-    _require_closed(es)
+    require_closed(es)
     if not es.equations:
         return EXIT_OK
     if args.method == "oracle":
@@ -101,7 +92,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_graph(args) -> int:
     es = _load_system(args)
-    _require_closed(es)
+    require_closed(es)
     formula = None
     if args.formula is not None:
         try:
@@ -126,7 +117,7 @@ def _cmd_graph(args) -> int:
 
 def _cmd_minimize(args) -> int:
     es = _load_system(args)
-    _require_closed(es)
+    require_closed(es)
     try:
         graph = build_graph(es)
     except BesError as exc:
@@ -145,16 +136,16 @@ def _cmd_minimize(args) -> int:
     members: dict[str, list[str]] = {}
     for u, block in mapping.items():
         members.setdefault(block, []).append(graph.label(u))
+    block_of = {name: block for block, name in names.items()}
     for eq in system:
-        block = next(b for b, n in names.items() if n == eq.lhs)
-        originals = ", ".join(sorted(members[block]))
+        originals = ", ".join(sorted(members[block_of[eq.lhs]]))
         print(f"{eq.lhs} <= {{{originals}}}")
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
     es = _load_system(args)
-    _require_closed(es)
+    require_closed(es)
     if not es.equations:
         raise _CliFailure("cannot verify an empty system", EXIT_PRECONDITION)
     try:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterator
 
 from .syntax import (
     And,
@@ -22,8 +21,6 @@ from .syntax import (
     Or,
     OrSet,
     Var,
-    bnd,
-    occ,
 )
 
 
@@ -96,30 +93,3 @@ def gen_srf_bes(cfg: GenConfig) -> EquationSystem:
             rhs = AndSet(members) if shape < 0.67 else OrSet(members)
         equations.append(Equation(sign, name, rhs))
     return EquationSystem(tuple(equations))
-
-
-def shrink_bes(es: EquationSystem) -> Iterator[EquationSystem]:
-    """Smaller closed variants: drop trailing equations, rebinding orphaned
-    occurrences to the first bound variable."""
-    for keep in range(len(es.equations) - 1, 0, -1):
-        prefix = es.equations[:keep]
-        remaining = {eq.lhs for eq in prefix}
-        first = prefix[0].lhs
-
-        def rebind(f: Formula) -> Formula:
-            if isinstance(f, Var):
-                return f if f.name in remaining else Var(first)
-            if isinstance(f, And):
-                return And(rebind(f.left), rebind(f.right))
-            if isinstance(f, Or):
-                return Or(rebind(f.left), rebind(f.right))
-            if isinstance(f, (AndSet, OrSet)):
-                members = frozenset(
-                    x if x in remaining else first for x in f.members
-                )
-                return type(f)(members)
-            return f
-
-        yield EquationSystem(
-            tuple(Equation(eq.sign, eq.lhs, rebind(eq.rhs)) for eq in prefix)
-        )

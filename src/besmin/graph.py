@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 from .errors import BesError, NotBessyError
@@ -25,12 +25,11 @@ from .syntax import (
     Or,
     OrSet,
     Var,
-    bnd,
     formula_key,
     is_srf,
     is_closed,
     occ,
-    rank as var_rank,
+    ranks,
 )
 
 
@@ -77,12 +76,6 @@ class StructureGraph:
 
     def label(self, u: str) -> str:
         return self.labels.get(u, u)
-
-
-@dataclass(frozen=True)
-class BisimWitness:
-    pairs: frozenset[tuple[str, str]]
-    initial_related: bool
 
 
 @dataclass(frozen=True)
@@ -196,17 +189,7 @@ def _require_bessy(g: StructureGraph) -> None:
 
 
 # ---------------------------------------------------------------------------
-# term / rhs / translation back into an equation system
-
-
-def _assign_names(g: StructureGraph) -> dict[str, str]:
-    key = _node_key(g)
-    ranked = sorted(
-        (u for u in g.deco if g.deco[u].ranks),
-        key=lambda u: (max(g.deco[u].ranks), key(u)),
-    )
-    rest = sorted((u for u in g.deco if not g.deco[u].ranks), key=key)
-    return {u: f"X{i}" for i, u in enumerate(ranked + rest)}
+# translation back into an equation system
 
 
 def _nest(op, terms: Iterable[Formula]) -> Formula:
@@ -242,16 +225,6 @@ def _rhs(g, u: str, succ, names) -> Formula:
     return _term(g, only, succ, names)
 
 
-def term(g: StructureGraph, u: str) -> Formula:
-    _require_bessy(g)
-    return _term(g, u, g.successors(), _assign_names(g))
-
-
-def rhs(g: StructureGraph, u: str) -> Formula:
-    _require_bessy(g)
-    return _rhs(g, u, g.successors(), _assign_names(g))
-
-
 def translate(g: StructureGraph) -> tuple[Formula, EquationSystem, dict[str, str]]:
     """Translate a BESsy graph; also returns the node-to-variable naming."""
     _require_bessy(g)
@@ -263,23 +236,19 @@ def translate(g: StructureGraph) -> tuple[Formula, EquationSystem, dict[str, str
                 f"singleton rank sets"
             )
     succ = g.successors()
-    names = _assign_names(g)
     key = _node_key(g)
     ranked = sorted(
         (u for u in g.deco if g.deco[u].ranks),
         key=lambda u: (max(g.deco[u].ranks), key(u)),
     )
+    rest = sorted((u for u in g.deco if not g.deco[u].ranks), key=key)
+    names = {u: f"X{i}" for i, u in enumerate(ranked + rest)}
     equations = []
     for u in ranked:
         r = max(g.deco[u].ranks)
         sign = Fixpoint.MU if r % 2 == 1 else Fixpoint.NU
         equations.append(Equation(sign, names[u], _rhs(g, u, succ, names)))
     return _term(g, g.init, succ, names), EquationSystem(tuple(equations)), names
-
-
-def graph_to_bes(g: StructureGraph) -> tuple[Formula, EquationSystem]:
-    formula, es, _ = translate(g)
-    return formula, es
 
 
 # ---------------------------------------------------------------------------
@@ -334,16 +303,13 @@ def minimize(g: StructureGraph) -> tuple[StructureGraph, dict[str, str]]:
     labels = {block_id[b]: block_label(b) for b in members}
     edges = frozenset((mapping[a], mapping[b]) for a, b in g.edges)
     quotient = StructureGraph(mapping[g.init], deco, edges, labels)
-    witness = bisimilar(g, quotient)
-    assert witness is not None, "quotient must stay bisimilar to the input"
+    assert bisimilar(g, quotient), "quotient must stay bisimilar to the input"
     return quotient, mapping
 
 
-def bisimilar(g: StructureGraph, h: StructureGraph) -> Optional[BisimWitness]:
-    """Largest bisimulation on the init-reachable parts of two graphs.
-
-    Returns a witness iff the initial nodes are related.
-    """
+def bisimilar(g: StructureGraph, h: StructureGraph) -> bool:
+    """Whether the initial nodes are related by the largest bisimulation
+    on the init-reachable parts of two graphs."""
     reach_g = reachable(g, g.init)
     reach_h = reachable(h, h.init)
     succ_g = g.successors()
@@ -366,15 +332,7 @@ def bisimilar(g: StructureGraph, h: StructureGraph) -> Optional[BisimWitness]:
         return (side, _label_key(graph.label(u)), u)
 
     block = _refine(nodes, succ, deco_of, order_key)
-    if block[("g", g.init)] != block[("h", h.init)]:
-        return None
-    pairs = frozenset(
-        (u, v)
-        for u in reach_g
-        for v in reach_h
-        if block[("g", u)] == block[("h", v)]
-    )
-    return BisimWitness(pairs, True)
+    return block[("g", g.init)] == block[("h", h.init)]
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +407,6 @@ def to_dependency_graph(es: EquationSystem) -> DependencyGraph:
     vertices = tuple(eq.lhs for eq in es)
     edges = set()
     logic = {}
-    rank_map = {}
     for eq in es:
         for y in occ(eq.rhs):
             edges.add((eq.lhs, y))
@@ -459,8 +416,7 @@ def to_dependency_graph(es: EquationSystem) -> DependencyGraph:
             logic[eq.lhs] = Op.OR
         else:
             logic[eq.lhs] = Op.NONE
-        rank_map[eq.lhs] = var_rank(es, eq.lhs)
-    return DependencyGraph(vertices, frozenset(edges), rank_map, logic)
+    return DependencyGraph(vertices, frozenset(edges), ranks(es), logic)
 
 
 def dependency_as_structure_graph(d: DependencyGraph) -> StructureGraph:

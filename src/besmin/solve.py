@@ -16,7 +16,6 @@ from .syntax import (
     And,
     AndSet,
     Const,
-    Equation,
     EquationSystem,
     Fixpoint,
     Formula,
@@ -24,8 +23,8 @@ from .syntax import (
     OrSet,
     Var,
     bnd,
-    is_closed,
     occ,
+    require_closed,
 )
 
 Environment = Mapping[str, bool]
@@ -132,9 +131,7 @@ def _subst(f: Formula, x: str, g: Formula) -> Formula:
 def solve_gauss(es: EquationSystem) -> dict[str, bool]:
     if not es.equations:
         raise BesError("cannot solve an empty equation system")
-    if not is_closed(es):
-        unbound = sorted(occ(es) - bnd(es))
-        raise OpenSystemError(f"system is open; unbound: {', '.join(unbound)}")
+    require_closed(es)
     eqs = es.equations
     rhss = [eq.rhs for eq in eqs]
     for i in reversed(range(len(eqs))):

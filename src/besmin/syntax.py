@@ -13,7 +13,7 @@ import enum
 from dataclasses import dataclass
 from typing import Iterator, Union
 
-from .errors import BesError, WellFormednessError
+from .errors import BesError, OpenSystemError, WellFormednessError
 
 
 class Fixpoint(enum.Enum):
@@ -194,28 +194,36 @@ def is_closed(es: EquationSystem) -> bool:
     return occ(es) <= bnd(es)
 
 
-def rank(es: EquationSystem, x: str) -> int:
-    """Rank of a bound variable, by the alternation-counting recursion.
+def require_closed(es: EquationSystem) -> None:
+    """Raise ``OpenSystemError`` naming the unbound variables of an open system."""
+    unbound = occ(es) - bnd(es)
+    if unbound:
+        raise OpenSystemError(f"system is open; unbound: {', '.join(sorted(unbound))}")
 
-    Counts the sign changes seen while scanning left-to-right, starting
-    from the greatest fixed point, until the equation for ``x`` is reached
-    under a matching sign.
-    """
-    if x not in bnd(es):
-        raise BesError(f"variable {x} is not bound")
-    sigma = Fixpoint.NU
-    r = 0
-    for eq in es:
-        while eq.sign != sigma:
-            sigma = eq.sign
-            r += 1
-        if eq.lhs == x:
-            return r
-    raise AssertionError("unreachable: x checked to be bound")
+
+def rank(es: EquationSystem, x: str) -> int:
+    """Rank of one bound variable; see ``ranks``."""
+    try:
+        return ranks(es)[x]
+    except KeyError:
+        raise BesError(f"variable {x} is not bound") from None
 
 
 def ranks(es: EquationSystem) -> dict[str, int]:
-    return {eq.lhs: rank(es, eq.lhs) for eq in es}
+    """Rank of every bound variable, by the alternation-counting recursion.
+
+    Counts the sign changes seen while scanning left-to-right, starting
+    from the greatest fixed point, up to each variable's equation.
+    """
+    result = {}
+    sigma = Fixpoint.NU
+    r = 0
+    for eq in es:
+        if eq.sign != sigma:
+            sigma = eq.sign
+            r += 1
+        result[eq.lhs] = r
+    return result
 
 
 def alternation_hierarchy(es: EquationSystem) -> int:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .build import _variable_nodes, build_graph, normalise_graph, reduce_graph
-from .graph import StructureGraph, minimize, translate
+from .graph import minimize, translate
 from .solve import solve_gauss, solve_recursive
 from .syntax import EquationSystem, bnd
 

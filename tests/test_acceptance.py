@@ -136,8 +136,8 @@ def _check_assoc_comm(es, variables):
     for op in (bm.And, bm.Or):
         assoc_left = op(op(x, y), z)
         assoc_right = op(x, op(y, z))
-        assert bm.bisimilar_in_context(es, assoc_left, es, assoc_right) is not None
-        assert bm.bisimilar_in_context(es, op(x, y), es, op(y, x)) is not None
+        assert bm.bisimilar_in_context(es, assoc_left, es, assoc_right)
+        assert bm.bisimilar_in_context(es, op(x, y), es, op(y, x))
 
 
 def test_criterion_6_property_suite(tmp_path):
@@ -172,7 +172,7 @@ def test_criterion_6_property_suite(tmp_path):
             # (e) embedding and dependency-graph agreement
             srf = bm.to_srf(es)
             srf_graph = bm.build_srf_graph(srf)
-            assert bm.bisimilar(srf_graph, bm.build_graph(bm.hbar(srf))) is not None
+            assert bm.bisimilar(srf_graph, bm.build_graph(bm.hbar(srf)))
             assert bm.graph_isomorphic(
                 srf_graph,
                 bm.dependency_as_structure_graph(bm.to_dependency_graph(srf)),
@@ -188,7 +188,7 @@ def test_criterion_6_property_suite(tmp_path):
         for sign in ("mu", "nu"):
             doubled = bm.build_graph(bm.parse_bes(f"{sign} X = X && X;"))
             plain = bm.build_graph(bm.parse_bes(f"{sign} X = X;"))
-            assert bm.bisimilar(doubled, plain) is None
+            assert not bm.bisimilar(doubled, plain)
         elapsed = time.perf_counter() - start
         assert elapsed < 60.0, f"took {elapsed:.2f} s"
 

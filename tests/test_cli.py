@@ -83,9 +83,10 @@ def test_solve_order_sensitivity(tmp_path, capsys):
 def test_solve_open_system_exit_2(tmp_path, capsys):
     path = tmp_path / "open.bes"
     path.write_text("mu X = Y;")
-    code, _, err = run(capsys, "solve", str(path))
-    assert code == 2
-    assert "open" in err
+    for command in ("solve", "graph", "minimize", "verify"):
+        code, out, err = run(capsys, command, str(path))
+        assert (command, code, out) == (command, 2, "")
+        assert err == "error: system is open; unbound: Y\n", command
 
 
 def test_graph_sgraph_output(capsys):
@@ -154,8 +155,14 @@ def test_minimize_bes_with_legend(capsys):
     es = bm.parse_bes(bes_text)
     assert len(es.equations) == 5
     assert bm.size(es) == 14
-    assert "equations: 5" in legend
-    assert sum("<=" in line for line in legend.splitlines()) == 5
+    assert legend.splitlines() == [
+        "equations: 5",
+        "X0 <= {X_s0, X_s1}",
+        "X1 <= {X_s2}",
+        "X2 <= {Y_s0, Y_s1}",
+        "X3 <= {Y_s2}",
+        "X4 <= {Z_s0, Z_s1, Z_s2}",
+    ]
 
 
 def test_verify_fixtures(capsys):

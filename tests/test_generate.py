@@ -53,13 +53,3 @@ def test_config_validation():
         bm.GenConfig(constant_probability=1.5)
     with pytest.raises(ValueError):
         bm.GenConfig(operator_bias=-0.1)
-
-
-def test_shrink_keeps_closedness():
-    es = bm.gen_bes(bm.GenConfig(variable_count=6, seed=3))
-    variants = list(bm.shrink_bes(es))
-    assert len(variants) == 5
-    sizes = [len(v.equations) for v in variants]
-    assert sizes == [5, 4, 3, 2, 1]
-    for v in variants:
-        assert bm.is_closed(v)

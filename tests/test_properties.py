@@ -65,7 +65,7 @@ def test_built_graph_is_bessy_and_round_trips(es):
     g = bm.build_graph(es)
     assert bm.is_bessy(g) == []
     assert bm.parse_graph(bm.serialize_graph(g)) == g
-    assert bm.bisimilar(g, g) is not None
+    assert bm.bisimilar(g, g)
 
 
 @settings(max_examples=50, deadline=None)
@@ -98,4 +98,4 @@ def test_srf_conversion_properties(es):
 @given(systems())
 def test_size_monotone_under_minimisation(es):
     result = bm.verify_system(es)
-    assert bm.size(result.minimised_system) <= bm.size(bm.normalised_bes(es))
+    assert bm.size(result.minimised_system) <= bm.size(bm.normalise_pipeline(es).system)

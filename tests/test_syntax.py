@@ -44,6 +44,11 @@ def test_rank_counts_sign_changes_from_nu():
     es2 = bm.parse_bes("mu X = X; nu Y = X;")
     assert bm.ranks(es2) == {"X": 1, "Y": 2}
     assert bm.alternation_hierarchy(es2) == 1
+    # Every equation of a strictly alternating system opens a new rank.
+    alternating = bm.system(
+        *(Equation(NU if i % 2 else MU, f"X{i}", Var(f"X{i}")) for i in range(2000))
+    )
+    assert bm.ranks(alternating) == {f"X{i}": i + 1 for i in range(2000)}
 
 
 def test_rank_parity_matches_sign():
