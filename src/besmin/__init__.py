@@ -21,11 +21,9 @@ from .fixtures import fixture, fixture_names, fixture_text
 from .generate import GenConfig, gen_bes, gen_srf_bes
 from .graph import (
     Decoration,
-    DependencyGraph,
     Op,
     StructureGraph,
     bisimilar,
-    dependency_as_structure_graph,
     graph_isomorphic,
     is_bessy,
     minimize,

@@ -11,7 +11,7 @@ import sys
 from typing import Optional
 
 from .build import build_graph, build_srf_graph, normalise_graph, reduce_graph
-from .errors import BesError, OpenSystemError, ParseError, WellFormednessError
+from .errors import BesError, ParseError, WellFormednessError
 from .fixtures import fixture_names, fixture_text
 from .graph import minimize, serialize_graph, to_dot, translate
 from .parse import parse_bes, parse_formula
@@ -51,10 +51,7 @@ def _load_system(args) -> EquationSystem:
                 text = handle.read()
         except OSError as exc:
             raise _CliFailure(str(exc), EXIT_INVALID)
-    try:
-        return parse_bes(text)
-    except (ParseError, WellFormednessError) as exc:
-        raise _CliFailure(str(exc), EXIT_INVALID)
+    return parse_bes(text)
 
 
 def _cmd_check(args) -> int:
@@ -93,23 +90,15 @@ def _cmd_solve(args) -> int:
 def _cmd_graph(args) -> int:
     es = _load_system(args)
     require_closed(es)
-    formula = None
-    if args.formula is not None:
-        try:
-            formula = parse_formula(args.formula)
-        except ParseError as exc:
-            raise _CliFailure(str(exc), EXIT_INVALID)
-    try:
-        if args.srf:
-            graph = build_srf_graph(es, formula)
-        else:
-            graph = build_graph(es, formula)
-        if args.reduce or args.normalise:
-            graph = reduce_graph(graph)
-        if args.normalise:
-            graph = normalise_graph(graph)
-    except BesError as exc:
-        raise _CliFailure(str(exc), EXIT_PRECONDITION)
+    formula = None if args.formula is None else parse_formula(args.formula)
+    if args.srf:
+        graph = build_srf_graph(es, formula)
+    else:
+        graph = build_graph(es, formula)
+    if args.reduce or args.normalise:
+        graph = reduce_graph(graph)
+    if args.normalise:
+        graph = normalise_graph(graph)
     output = to_dot(graph) if args.out == "dot" else serialize_graph(graph)
     sys.stdout.write(output)
     return EXIT_OK
@@ -118,18 +107,12 @@ def _cmd_graph(args) -> int:
 def _cmd_minimize(args) -> int:
     es = _load_system(args)
     require_closed(es)
-    try:
-        graph = build_graph(es)
-    except BesError as exc:
-        raise _CliFailure(str(exc), EXIT_PRECONDITION)
+    graph = build_graph(es)
     quotient, mapping = minimize(graph)
     if args.emit == "graph":
         sys.stdout.write(serialize_graph(quotient))
         return EXIT_OK
-    try:
-        _, system, names = translate(quotient)
-    except BesError as exc:
-        raise _CliFailure(str(exc), EXIT_PRECONDITION)
+    _, system, names = translate(quotient)
     sys.stdout.write(print_bes(system))
     print("---")
     print(f"equations: {len(system.equations)}")
@@ -148,10 +131,7 @@ def _cmd_verify(args) -> int:
     require_closed(es)
     if not es.equations:
         raise _CliFailure("cannot verify an empty system", EXIT_PRECONDITION)
-    try:
-        result = verify_system(es)
-    except BesError as exc:
-        raise _CliFailure(str(exc), EXIT_PRECONDITION)
+    result = verify_system(es)
     if result.ok:
         print(f"PASS: {len(es.equations)} variables verified")
         return EXIT_OK
@@ -219,15 +199,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = build_arg_parser().parse_args(argv)
     try:
         return args.run(args)
-    except _CliFailure as failure:
-        print(f"error: {failure}", file=sys.stderr)
-        return failure.code
-    except OpenSystemError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
+    except _CliFailure as exc:
+        failure, code = exc, exc.code
+    except (ParseError, WellFormednessError) as exc:
+        failure, code = exc, EXIT_INVALID
     except BesError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+        failure, code = exc, EXIT_PRECONDITION
+    print(f"error: {failure}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

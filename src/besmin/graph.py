@@ -78,14 +78,6 @@ class StructureGraph:
         return self.labels.get(u, u)
 
 
-@dataclass(frozen=True)
-class DependencyGraph:
-    vertices: tuple[str, ...]
-    edges: frozenset[tuple[str, str]]
-    rank: dict[str, int]
-    logic: dict[str, Op]
-
-
 def _label_key(label: str):
     # true before false before everything else, then lexicographic
     if label == "true":
@@ -97,19 +89,6 @@ def _label_key(label: str):
 
 def _node_key(g: StructureGraph) -> Callable[[str], tuple]:
     return lambda u: (_label_key(g.label(u)), u)
-
-
-def reachable(g: StructureGraph, start: str) -> set[str]:
-    succ = g.successors()
-    seen = {start}
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        for v in succ[u]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return seen
 
 
 # ---------------------------------------------------------------------------
@@ -255,29 +234,27 @@ def translate(g: StructureGraph) -> tuple[Formula, EquationSystem, dict[str, str
 # Partition refinement (Kanellakis-Smolka style signature splitting)
 
 
-def _refine(
-    node_ids: list,
-    succ: dict,
-    initial_key: Callable,
-    order_key: Callable,
-) -> dict:
-    ordered = sorted(node_ids, key=order_key)
+def _refine(ordered: list, succ: dict, initial_key: Callable) -> dict:
+    """Coarsest stable refinement of the partition by ``initial_key``.
+
+    Blocks are numbered by the position of their first member in ``ordered``.
+    """
 
     def regroup(keyfn):
         groups: dict = {}
         for u in ordered:
             groups.setdefault(keyfn(u), []).append(u)
-        numbered = sorted(groups.values(), key=lambda ms: order_key(ms[0]))
-        return {u: i for i, ms in enumerate(numbered) for u in ms}
+        block = {u: i for i, ms in enumerate(groups.values()) for u in ms}
+        return block, len(groups)
 
-    block = regroup(initial_key)
+    block, count = regroup(initial_key)
     while True:
-        count = max(block.values()) + 1 if block else 0
-        block2 = regroup(lambda u: (block[u], frozenset(block[v] for v in succ[u])))
-        count2 = max(block2.values()) + 1 if block2 else 0
+        block2, count2 = regroup(
+            lambda u: (block[u], frozenset(block[v] for v in succ[u]))
+        )
         if count2 == count:
             return block2
-        block = block2
+        block, count = block2, count2
 
 
 def minimize(g: StructureGraph) -> tuple[StructureGraph, dict[str, str]]:
@@ -286,8 +263,7 @@ def minimize(g: StructureGraph) -> tuple[StructureGraph, dict[str, str]]:
     Returns the quotient graph and the node-to-block mapping.
     """
     succ = g.successors()
-    key = _node_key(g)
-    block = _refine(list(g.deco), succ, lambda u: g.deco[u], key)
+    block = _refine(sorted(g.deco, key=_node_key(g)), succ, g.deco.__getitem__)
     members: dict[int, list[str]] = {}
     for u, b in block.items():
         members.setdefault(b, []).append(u)
@@ -303,36 +279,29 @@ def minimize(g: StructureGraph) -> tuple[StructureGraph, dict[str, str]]:
     labels = {block_id[b]: block_label(b) for b in members}
     edges = frozenset((mapping[a], mapping[b]) for a, b in g.edges)
     quotient = StructureGraph(mapping[g.init], deco, edges, labels)
-    assert bisimilar(g, quotient), "quotient must stay bisimilar to the input"
+    # the mapping is a functional bisimulation: it keeps every node's
+    # decoration and maps its successors onto its block's successors
+    succ_q = quotient.successors()
+    assert all(
+        g.deco[u] == deco[mapping[u]]
+        and {mapping[v] for v in succ[u]} == succ_q[mapping[u]]
+        for u in g.deco
+    ), "the block mapping must be a functional bisimulation"
     return quotient, mapping
 
 
 def bisimilar(g: StructureGraph, h: StructureGraph) -> bool:
-    """Whether the initial nodes are related by the largest bisimulation
-    on the init-reachable parts of two graphs."""
-    reach_g = reachable(g, g.init)
-    reach_h = reachable(h, h.init)
-    succ_g = g.successors()
-    succ_h = h.successors()
-    nodes = [("g", u) for u in reach_g] + [("h", u) for u in reach_h]
-    succ = {
-        ("g", u): {("g", v) for v in succ_g[u] if v in reach_g} for u in reach_g
-    }
-    succ.update(
-        {("h", u): {("h", v) for v in succ_h[u] if v in reach_h} for u in reach_h}
-    )
-
-    def deco_of(n):
-        side, u = n
-        return (g if side == "g" else h).deco[u]
-
-    def order_key(n):
-        side, u = n
-        graph = g if side == "g" else h
-        return (side, _label_key(graph.label(u)), u)
-
-    block = _refine(nodes, succ, deco_of, order_key)
-    return block[("g", g.init)] == block[("h", h.init)]
+    """Whether the initial nodes of two graphs are bisimilar."""
+    deco: dict = {}
+    succ: dict = {}
+    for side, graph in enumerate((g, h)):
+        for u, d in graph.deco.items():
+            deco[side, u] = d
+            succ[side, u] = set()
+        for a, b in graph.edges:
+            succ[side, a].add((side, b))
+    block = _refine(list(deco), succ, deco.__getitem__)
+    return block[0, g.init] == block[1, h.init]
 
 
 # ---------------------------------------------------------------------------
@@ -397,34 +366,30 @@ def graph_isomorphic(g: StructureGraph, h: StructureGraph) -> bool:
 # Dependency graphs for systems in SRF
 
 
-def to_dependency_graph(es: EquationSystem) -> DependencyGraph:
+def to_dependency_graph(es: EquationSystem) -> StructureGraph:
+    """The dependency graph of a closed SRF system, as a structure graph.
+
+    One node per variable, labelled by it and decorated with its right-hand
+    side's connective and its rank; the initial node is the first variable.
+    """
     if not es.equations:
         raise BesError("dependency graph of an empty system is undefined")
     if not is_srf(es):
         raise BesError("dependency graphs are defined for systems in SRF only")
     if not is_closed(es):
         raise BesError("dependency graphs are defined for closed systems only")
-    vertices = tuple(eq.lhs for eq in es)
-    edges = set()
-    logic = {}
+    rank = ranks(es)
+    deco = {}
     for eq in es:
-        for y in occ(eq.rhs):
-            edges.add((eq.lhs, y))
         if isinstance(eq.rhs, AndSet):
-            logic[eq.lhs] = Op.AND
+            op = Op.AND
         elif isinstance(eq.rhs, OrSet):
-            logic[eq.lhs] = Op.OR
+            op = Op.OR
         else:
-            logic[eq.lhs] = Op.NONE
-    return DependencyGraph(vertices, frozenset(edges), ranks(es), logic)
-
-
-def dependency_as_structure_graph(d: DependencyGraph) -> StructureGraph:
-    deco = {
-        v: Decoration(d.logic[v], frozenset({d.rank[v]})) for v in d.vertices
-    }
-    labels = {v: v for v in d.vertices}
-    return StructureGraph(d.vertices[0], deco, d.edges, labels)
+            op = Op.NONE
+        deco[eq.lhs] = Decoration(op, frozenset({rank[eq.lhs]}))
+    edges = frozenset((eq.lhs, y) for eq in es for y in occ(eq.rhs))
+    return StructureGraph(es.equations[0].lhs, deco, edges, {x: x for x in deco})
 
 
 # ---------------------------------------------------------------------------

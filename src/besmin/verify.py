@@ -1,9 +1,9 @@
 """End-to-end check of the solution-preservation result.
 
 Runs the full pipeline (build, eliminate constants, rank, minimise,
-translate back), solves the original and the minimised system with both
-solvers, and compares the solutions variable by variable through the
-quotient mapping.
+translate back), checks the quotient bisimilar to the normalised graph,
+solves the original and the minimised system with both solvers, and
+compares the solutions variable by variable through the quotient mapping.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .build import _variable_nodes, build_graph, normalise_graph, reduce_graph
-from .graph import minimize, translate
+from .graph import bisimilar, minimize, translate
 from .solve import solve_gauss, solve_recursive
 from .syntax import EquationSystem, bnd
 
@@ -46,6 +46,10 @@ def verify_system(es: EquationSystem) -> VerifyResult:
     }
 
     mismatches = []
+    if not bisimilar(normalised, quotient):
+        mismatches.append(
+            "minimise: quotient is not bisimilar to the normalised graph"
+        )
     for x in (eq.lhs for eq in es):
         image = variable_map[x]
         values = {

@@ -173,10 +173,7 @@ def test_criterion_6_property_suite(tmp_path):
             srf = bm.to_srf(es)
             srf_graph = bm.build_srf_graph(srf)
             assert bm.bisimilar(srf_graph, bm.build_graph(bm.hbar(srf)))
-            assert bm.graph_isomorphic(
-                srf_graph,
-                bm.dependency_as_structure_graph(bm.to_dependency_graph(srf)),
-            )
+            assert bm.graph_isomorphic(srf_graph, bm.to_dependency_graph(srf))
         # (b), through the actual command-line entry point, on a sample
         for seed in (0, 123, 499):
             es = bm.gen_bes(bm.GenConfig(variable_count=1 + seed % 8, seed=seed))

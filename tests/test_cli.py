@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, output shapes, exit codes."""
 
+import hashlib
 import importlib
 import importlib.metadata
 import os
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import besmin as bm
+import besmin.verify
 from besmin.cli import main
 
 
@@ -186,6 +188,53 @@ def test_deterministic_output(capsys):
     first = run(capsys, "graph", "--fixture", "mutex")
     second = run(capsys, "graph", "--fixture", "mutex")
     assert first == second
+
+
+def test_verify_failure_exit_3(monkeypatch, capsys):
+    monkeypatch.setattr(besmin.verify, "bisimilar", lambda g, h: False)
+    code, out, _ = run(capsys, "verify", "--fixture", "paper-application")
+    assert code == 3
+    assert out.startswith("FAIL:")
+    assert "minimise:" in out
+    assert not bm.verify_system(bm.fixture("paper-application")).ok
+
+
+# sha256 of stdout; every command exits 0
+OUTPUT_DIGESTS = {
+    "example-structure-graph": {
+        ("check",): "4f34130c7b63d6711d2623ae7e8d3e0be57c813d5995d355134fa221c4e9d6dd",
+        ("graph",): "1151e5dfb16c1d2a9e82c8739f10515b8196a9c670c66dfbd7134a3cc325b428",
+        ("graph", "--normalise"): "53a3559d1a7cbe46b011eebf05b67739367af38143b3bdbedc11782ca5dd29c8",
+        ("graph", "--out", "dot"): "72f9f839521f5f1f7593deddd1a7bcbf2f2dce3840d96e915a467272e5c7c2c4",
+        ("minimize", "--emit", "graph"): "2ad6c39b8a5ce112c5901cebbd0c4b1ba4bdeae929569ab5e8afcdba1ff9e132",
+        ("minimize", "--emit", "bes"): "29eb3240861ea07716530e921040328d25082c41ebcd56c4527666df3680b7d6",
+    },
+    "mutex": {
+        ("check",): "7fb21376901cfddc18bb12962b47de0be28421e25eb1e7ca4f77e3f28a173919",
+        ("graph",): "6ae7e75c6bd4a5cbd2cadc0a5b316f2114de2104afdec50fb0d12914937df729",
+        ("graph", "--normalise"): "6ae7e75c6bd4a5cbd2cadc0a5b316f2114de2104afdec50fb0d12914937df729",
+        ("graph", "--out", "dot"): "907cb97e4f542f13b95606d79b72b63ed090d636101803a433ba9a9a2406cac5",
+        ("minimize", "--emit", "graph"): "c94b7df138f06b282d9d002e1e3e0f7918f7182f4e3d271a902d90b9a625572e",
+        ("minimize", "--emit", "bes"): "aaa845ffe3a50f1dea56d385e4c675ecc20ba810e308198ab41199db0a2a18ea",
+    },
+    "paper-application": {
+        ("check",): "e01380035d6d408375b54e4f54401e779e6a2ffc433bea7fab820cbb8c62cfc8",
+        ("graph",): "3daa97f21c9260d91a2090828e3cdd98ace2745e6e2d33f71354b42bbacbacf5",
+        ("graph", "--normalise"): "e5d05aa898e1efc5c8b5f5774dc16b682be3d840dad9e7e51cca181f3e1e40dd",
+        ("graph", "--out", "dot"): "3a4a2c43f52e1cfe9d192e4ce7166e39511d013968d2c17063182c33bc4337fe",
+        ("minimize", "--emit", "graph"): "4a9f5e05273574a8d514e24782102c74da7562babf73dc0723c5686cae1bfbde",
+        ("minimize", "--emit", "bes"): "4c6f90437d32170f643c5b64e39cdc4a9d0909002b45d725db8f0ca51bd81483",
+    },
+}
+
+
+def test_fixture_output_bytes_pinned(capsys):
+    for name, digests in OUTPUT_DIGESTS.items():
+        for command, digest in digests.items():
+            code, out, _ = run(capsys, *command, "--fixture", name)
+            assert code == 0, (name, command)
+            actual = hashlib.sha256(out.encode("utf-8")).hexdigest()
+            assert actual == digest, (name, command)
 
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"

@@ -3,6 +3,7 @@
 import pytest
 
 import besmin as bm
+import besmin.graph
 from besmin import Decoration, Op, StructureGraph
 from conftest import by_label, edges_by_label, oracle
 
@@ -107,6 +108,18 @@ def test_minimize_fixture_counts():
     assert bm.bisimilar(g, quotient)
 
 
+def test_minimize_checks_its_block_mapping(monkeypatch):
+    # a refinement that stops at the decoration partition merges nodes whose
+    # successors fall into different blocks; minimize must not return it
+    def decoration_blocks(ordered, succ, initial_key):
+        keys: dict = {}
+        return {u: keys.setdefault(initial_key(u), len(keys)) for u in ordered}
+
+    monkeypatch.setattr(besmin.graph, "_refine", decoration_blocks)
+    with pytest.raises(AssertionError):
+        bm.minimize(bm.build_graph(bm.fixture("paper-application")))
+
+
 def test_minimize_is_idempotent():
     g = bm.build_graph(bm.fixture("mutex"))
     q1, _ = bm.minimize(g)
@@ -142,10 +155,8 @@ def test_dependency_graph_matches_srf_structure_graph():
     for seed in range(20):
         es = bm.gen_srf_bes(bm.GenConfig(variable_count=6, seed=seed))
         d = bm.to_dependency_graph(es)
-        assert d.vertices == tuple(eq.lhs for eq in es)
-        assert bm.graph_isomorphic(
-            bm.build_srf_graph(es), bm.dependency_as_structure_graph(d)
-        )
+        assert set(d.deco) == bm.bnd(es) and d.init == es.equations[0].lhs
+        assert bm.graph_isomorphic(bm.build_srf_graph(es), d)
     with pytest.raises(bm.BesError):
         bm.to_dependency_graph(bm.parse_bes("mu X = X && X;"))
 

@@ -73,6 +73,7 @@ def test_built_graph_is_bessy_and_round_trips(es):
 def test_minimize_shrinks_and_preserves_solution(es):
     g = bm.normalise_graph(bm.reduce_graph(bm.build_graph(es)))
     quotient, _ = bm.minimize(g)
+    assert bm.bisimilar(g, quotient)
     assert len(quotient.nodes) <= len(g.nodes)
     assert bm.is_bessy(quotient) == []
     result = bm.verify_system(es)
