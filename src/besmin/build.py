@@ -46,23 +46,26 @@ def _check_closed_nonempty(es: EquationSystem) -> None:
 
 
 def _finish(init: Formula, seeds: list[Formula], deco_of, succ_of) -> StructureGraph:
-    """Reachable closure from the seeds, then id assignment by term order."""
-    known: dict[Formula, None] = {}
+    """Reachable closure from the seeds, then id assignment by term order.
+
+    Every node's successors and text are computed once; the text is both
+    its label and its sort key (the order ``formula_key`` gives)."""
+    succ: dict[Formula, list[Formula]] = {}
     stack = list(seeds)
     while stack:
         f = stack.pop()
-        if f in known:
-            continue
-        known[f] = None
-        stack.extend(succ_of(f))
-    ordered = sorted(known, key=formula_key)
-    width = len(str(max(len(ordered) - 1, 0)))
-    ids = {f: f"n{i:0{width}d}" for i, f in enumerate(ordered)}
-    deco = {ids[f]: deco_of(f) for f in ordered}
-    labels = {ids[f]: format_formula(f) for f in ordered}
-    edges = frozenset(
-        (ids[f], ids[g]) for f in ordered for g in succ_of(f)
+        if f not in succ:
+            succ[f] = fs = succ_of(f)
+            stack.extend(fs)
+    ordered = sorted(
+        ((f, format_formula(f)) for f in succ),
+        key=lambda p: formula_key(p[0]) if isinstance(p[0], Const) else (1, 0, p[1]),
     )
+    width = len(str(max(len(ordered) - 1, 0)))
+    ids = {f: f"n{i:0{width}d}" for i, (f, _) in enumerate(ordered)}
+    deco = {ids[f]: deco_of(f) for f, _ in ordered}
+    labels = {ids[f]: text for f, text in ordered}
+    edges = frozenset((ids[f], ids[g]) for f, fs in succ.items() for g in fs)
     return StructureGraph(ids[init], deco, edges, labels)
 
 
@@ -100,10 +103,9 @@ def build_graph(es: EquationSystem, t: Optional[Formula] = None) -> StructureGra
     def successors(f: Formula) -> list[Formula]:
         if isinstance(f, Const):
             return []
-        if isinstance(f, And):
-            return _dedupe(parts(f.left, True) + parts(f.right, True))
-        if isinstance(f, Or):
-            return _dedupe(parts(f.left, False) + parts(f.right, False))
+        if isinstance(f, (And, Or)):
+            conj = isinstance(f, And)
+            return list(dict.fromkeys(parts(f.left, conj) + parts(f.right, conj)))
         if isinstance(f, Var):
             g = rhs_map[f.name]
             if isinstance(g, (And, Or)):
@@ -124,16 +126,6 @@ def build_graph(es: EquationSystem, t: Optional[Formula] = None) -> StructureGra
 
     seeds = [t] + [Var(x) for x in bnd(es)]
     return _finish(t, seeds, deco_of, successors)
-
-
-def _dedupe(items: list[Formula]) -> list[Formula]:
-    seen = set()
-    out = []
-    for f in items:
-        if f not in seen:
-            seen.add(f)
-            out.append(f)
-    return out
 
 
 def build_srf_graph(es: EquationSystem, t: Optional[Formula] = None) -> StructureGraph:

@@ -106,7 +106,6 @@ def _cmd_graph(args) -> int:
 
 def _cmd_minimize(args) -> int:
     es = _load_system(args)
-    require_closed(es)
     graph = build_graph(es)
     quotient, mapping = minimize(graph)
     if args.emit == "graph":

@@ -237,24 +237,24 @@ def translate(g: StructureGraph) -> tuple[Formula, EquationSystem, dict[str, str
 def _refine(ordered: list, succ: dict, initial_key: Callable) -> dict:
     """Coarsest stable refinement of the partition by ``initial_key``.
 
-    Blocks are numbered by the position of their first member in ``ordered``.
+    The successor lists are built once, as positions in ``ordered``.  Each
+    round regroups the nodes by their block and the set of their
+    successors' blocks, until the number of blocks stays the same.  Blocks
+    are numbered by the position of their first member in ``ordered``.
     """
-
-    def regroup(keyfn):
-        groups: dict = {}
-        for u in ordered:
-            groups.setdefault(keyfn(u), []).append(u)
-        block = {u: i for i, ms in enumerate(groups.values()) for u in ms}
-        return block, len(groups)
-
-    block, count = regroup(initial_key)
+    position = {u: i for i, u in enumerate(ordered)}
+    succs = [[position[v] for v in succ[u]] for u in ordered]
+    ids: dict = {}
+    block = [ids.setdefault(initial_key(u), len(ids)) for u in ordered]
     while True:
-        block2, count2 = regroup(
-            lambda u: (block[u], frozenset(block[v] for v in succ[u]))
-        )
-        if count2 == count:
-            return block2
-        block, count = block2, count2
+        count, block_of = len(ids), block.__getitem__
+        ids = {}
+        block = [
+            ids.setdefault((b, frozenset(map(block_of, vs))), len(ids))
+            for b, vs in zip(block, succs)
+        ]
+        if len(ids) == count:
+            return dict(zip(ordered, block))
 
 
 def minimize(g: StructureGraph) -> tuple[StructureGraph, dict[str, str]]:

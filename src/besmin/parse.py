@@ -14,18 +14,25 @@ Identifiers start with a letter or underscore, followed by letters,
 digits, underscores and primes.  "//" starts a line comment.  Chained
 same-operator formulas parse to a left-nested binary AST; parentheses
 are preserved as explicit nesting.
+
+The text is tokenized in one regular-expression pass, each match being
+one token together with the white space and comments before it, into
+three parallel lists: kind, text and start offset of every token, ending
+with ``eof``.  The parser reads them by index.  Line and column are
+computed from the offset only when an error is reported.  Constants are
+the shared ``TRUE``/``FALSE`` and every name gets one shared ``Var``.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .errors import ParseError, WellFormednessError
 from .syntax import (
+    FALSE,
+    TRUE,
     And,
     AndSet,
-    Const,
     Equation,
     EquationSystem,
     Fixpoint,
@@ -37,10 +44,13 @@ from .syntax import (
 
 _TOKEN_RE = re.compile(
     r"""
-      (?P<ws>[ \t\r\n]+)
-    | (?P<comment>//[^\n]*)
-    | (?P<ident>[A-Za-z_][A-Za-z0-9_']*)
-    | (?P<op>&&|\|\||[=;(){},])
+    [ \t\r\n]* (?: //[^\n]* [ \t\r\n]* )*    # white space and comments
+    (?:
+        (?P<ident>[A-Za-z_][A-Za-z0-9_']*)
+      | (?P<op>&&|\|\||[=;(){},])
+      | (?P<bad>.)
+      | \Z                                # white space at the end
+    )
     """,
     re.VERBOSE,
 )
@@ -48,150 +58,138 @@ _TOKEN_RE = re.compile(
 _KEYWORDS = {"mu", "nu", "true", "false", "AND", "OR"}
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # 'ident', keyword itself, or the operator text; 'eof'
-    text: str
-    line: int
-    column: int
+def _line(text: str, offset: int) -> int:
+    return text.count("\n", 0, offset) + 1
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    pos = 0
-    line = 1
-    line_start = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(
-                f"unexpected character {text[pos]!r}", line, pos - line_start + 1
-            )
-        column = pos - line_start + 1
-        if m.lastgroup == "ident":
-            word = m.group()
-            kind = word if word in _KEYWORDS else "ident"
-            tokens.append(_Token(kind, word, line, column))
-        elif m.lastgroup == "op":
-            tokens.append(_Token(m.group(), m.group(), line, column))
-        elif m.lastgroup == "ws":
-            chunk = m.group()
-            newlines = chunk.count("\n")
-            if newlines:
-                line += newlines
-                line_start = pos + chunk.rindex("\n") + 1
-        pos = m.end()
-    tokens.append(_Token("eof", "", line, len(text) - line_start + 1))
-    return tokens
+def _error(text: str, offset: int, message: str) -> ParseError:
+    return ParseError(message, _line(text, offset), offset - text.rfind("\n", 0, offset))
+
+
+def _tokenize(text: str) -> tuple[list[str], list[str], list[int]]:
+    """Kinds ('ident', a keyword or an operator; 'eof' last), texts and
+    start offsets of the tokens."""
+    kinds: list[str] = []
+    texts: list[str] = []
+    starts: list[int] = []
+    for m in _TOKEN_RE.finditer(text):
+        group = m.lastgroup
+        if group is None:
+            continue
+        word = m.group(group)
+        if group == "ident":
+            kinds.append(word if word in _KEYWORDS else "ident")
+        elif group == "op":
+            kinds.append(word)
+        else:
+            raise _error(text, m.start(group), f"unexpected character {word!r}")
+        texts.append(word)
+        starts.append(m.start(group))
+    kinds.append("eof")
+    texts.append("")
+    starts.append(len(text))
+    return kinds, texts, starts
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
+    def __init__(self, text: str):
+        self.text = text
+        self.kinds, self.texts, self.starts = _tokenize(text)
         self.pos = 0
+        self.variables: dict[str, Var] = {}  # one shared Var per name
 
-    @property
-    def current(self) -> _Token:
-        return self.tokens[self.pos]
+    def error(self, message: str) -> ParseError:
+        return _error(self.text, self.starts[self.pos], message)
 
-    def advance(self) -> _Token:
-        tok = self.current
-        self.pos += 1
-        return tok
+    def unexpected(self, expected: str) -> ParseError:
+        return self.error(f"{expected}, got {self.texts[self.pos] or 'end of input'!r}")
 
-    def expect(self, kind: str) -> _Token:
-        tok = self.current
-        if tok.kind != kind:
-            raise ParseError(
-                f"expected {kind!r}, got {tok.text or 'end of input'!r}",
-                tok.line,
-                tok.column,
-            )
-        return self.advance()
+    def expect(self, kind: str) -> str:
+        pos = self.pos
+        if self.kinds[pos] != kind:
+            raise self.unexpected(f"expected {kind!r}")
+        self.pos = pos + 1
+        return self.texts[pos]
 
     def parse_system(self) -> EquationSystem:
+        kinds = self.kinds
         equations = []
-        bound = {}
-        while self.current.kind != "eof":
-            tok = self.current
-            if tok.kind not in ("mu", "nu"):
-                raise ParseError(
-                    f"expected 'mu' or 'nu', got {tok.text or 'end of input'!r}",
-                    tok.line,
-                    tok.column,
-                )
-            self.advance()
-            sign = Fixpoint.MU if tok.kind == "mu" else Fixpoint.NU
-            name_tok = self.expect("ident")
-            if name_tok.text in bound:
+        bound = set()
+        while kinds[self.pos] != "eof":
+            sign = kinds[self.pos]
+            if sign not in ("mu", "nu"):
+                raise self.unexpected("expected 'mu' or 'nu'")
+            self.pos += 1
+            name_start = self.starts[self.pos]
+            name = self.expect("ident")
+            if name in bound:
                 raise WellFormednessError(
-                    f"variable {name_tok.text} is bound by more than one "
-                    f"equation (line {name_tok.line})"
+                    f"variable {name} is bound by more than one "
+                    f"equation (line {_line(self.text, name_start)})"
                 )
-            bound[name_tok.text] = True
+            bound.add(name)
             self.expect("=")
             rhs = self.parse_formula()
             self.expect(";")
-            equations.append(Equation(sign, name_tok.text, rhs))
+            equations.append(
+                Equation(Fixpoint.MU if sign == "mu" else Fixpoint.NU, name, rhs)
+            )
         return EquationSystem(tuple(equations))
 
     def parse_formula(self) -> Formula:
         f = self.parse_conj()
-        while self.current.kind == "||":
-            self.advance()
+        while self.kinds[self.pos] == "||":
+            self.pos += 1
             f = Or(f, self.parse_conj())
         return f
 
     def parse_conj(self) -> Formula:
         f = self.parse_atom()
-        while self.current.kind == "&&":
-            self.advance()
+        while self.kinds[self.pos] == "&&":
+            self.pos += 1
             f = And(f, self.parse_atom())
         return f
 
     def parse_atom(self) -> Formula:
-        tok = self.current
-        if tok.kind == "true":
-            self.advance()
-            return Const(True)
-        if tok.kind == "false":
-            self.advance()
-            return Const(False)
-        if tok.kind == "ident":
-            self.advance()
-            return Var(tok.text)
-        if tok.kind == "(":
-            self.advance()
+        pos = self.pos
+        kind = self.kinds[pos]
+        if kind == "ident":
+            self.pos = pos + 1
+            name = self.texts[pos]
+            var = self.variables.get(name)
+            if var is None:
+                var = self.variables[name] = Var(name)
+            return var
+        if kind in ("true", "false"):
+            self.pos = pos + 1
+            return TRUE if kind == "true" else FALSE
+        if kind == "(":
+            self.pos = pos + 1
             f = self.parse_formula()
             self.expect(")")
             return f
-        if tok.kind in ("AND", "OR"):
-            self.advance()
+        if kind in ("AND", "OR"):
+            self.pos = pos + 1
             self.expect("{")
-            members = [self.expect("ident").text]
-            while self.current.kind == ",":
-                self.advance()
-                members.append(self.expect("ident").text)
+            members = [self.expect("ident")]
+            while self.kinds[self.pos] == ",":
+                self.pos += 1
+                members.append(self.expect("ident"))
             self.expect("}")
-            cls = AndSet if tok.kind == "AND" else OrSet
+            cls = AndSet if kind == "AND" else OrSet
             return cls(frozenset(members))
-        raise ParseError(
-            f"expected a formula, got {tok.text or 'end of input'!r}",
-            tok.line,
-            tok.column,
-        )
+        raise self.unexpected("expected a formula")
 
 
 def parse_bes(text: str) -> EquationSystem:
-    return _Parser(_tokenize(text)).parse_system()
+    return _Parser(text).parse_system()
 
 
 def parse_formula(text: str) -> Formula:
-    parser = _Parser(_tokenize(text))
+    parser = _Parser(text)
     f = parser.parse_formula()
-    tok = parser.current
-    if tok.kind != "eof":
-        raise ParseError(
-            f"trailing input after formula: {tok.text!r}", tok.line, tok.column
+    if parser.kinds[parser.pos] != "eof":
+        raise parser.error(
+            f"trailing input after formula: {parser.texts[parser.pos]!r}"
         )
     return f

@@ -174,20 +174,22 @@ def bnd(es: EquationSystem) -> set[str]:
 
 def occ(item: Union[EquationSystem, Formula]) -> set[str]:
     if isinstance(item, EquationSystem):
-        result: set[str] = set()
-        for eq in item:
-            result |= occ(eq.rhs)
-        return result
-    f = item
-    if isinstance(f, Const):
-        return set()
-    if isinstance(f, Var):
-        return {f.name}
-    if isinstance(f, (And, Or)):
-        return occ(f.left) | occ(f.right)
-    if isinstance(f, (AndSet, OrSet)):
-        return set(f.members)
-    raise TypeError(f"not a formula or system: {f!r}")
+        stack = [eq.rhs for eq in item]
+    else:
+        stack = [item]
+    result: set[str] = set()
+    while stack:
+        f = stack.pop()
+        if isinstance(f, Var):
+            result.add(f.name)
+        elif isinstance(f, (And, Or)):
+            stack.append(f.left)
+            stack.append(f.right)
+        elif isinstance(f, (AndSet, OrSet)):
+            result.update(f.members)
+        elif not isinstance(f, Const):
+            raise TypeError(f"not a formula or system: {f!r}")
+    return result
 
 
 def is_closed(es: EquationSystem) -> bool:

@@ -237,6 +237,40 @@ def test_fixture_output_bytes_pinned(capsys):
             assert actual == digest, (name, command)
 
 
+# sha256 of stdout for generated systems, by (generator, n, seed); every
+# command exits 0.  These pin the node numbering of build_graph and the block
+# numbering of minimize beyond the fixtures.
+GENERATED_DIGESTS = {
+    (bm.gen_bes, 200, 0): {
+        ("graph",): "00b1835c143879d9b90ab7736116438a8693f0c5ac9ae967e1119a79f38cdf2d",
+        ("graph", "--normalise"): "138ecbda0134f0bb590e66539eba6d26ca7e9ca5d9e71ea6518ed8662e9f99e2",
+        ("minimize", "--emit", "graph"): "85bc1077d85480aad54e433bc0d89919f175d0a3dbb0b2b918ef06b55573660f",
+        ("minimize", "--emit", "bes"): "32715dfb974ca4a9f3ef1f46b5aa8d73a4f681f1735e38b18d936bcf42965bf0",
+    },
+    (bm.gen_bes, 200, 1): {
+        ("graph",): "f74054d209c2ce702f93c69bd19e2b7ba8e1cf72dcb355c8634b8a41644100dc",
+        ("graph", "--normalise"): "2272f60e50e2248955adf5c496d949010ecbd41d9f249705a1f096a16eecfd4e",
+        ("minimize", "--emit", "graph"): "9930403ce48f3cdab1c3f2b7847d5c3c0e26e1d3666770b4dc68fd7ba96b0333",
+        ("minimize", "--emit", "bes"): "95d834f2c0f7690e868dc087bd48f5fc1eff32bd91c66be11bf59916238cb5db",
+    },
+    (bm.gen_srf_bes, 8, 0): {
+        ("graph", "--srf"): "d99846928259c946cedcd9384ec26458acf1ed5aca515effc04760216e3cde57",
+    },
+}
+
+
+def test_generated_output_bytes_pinned(tmp_path, capsys):
+    path = tmp_path / "generated.bes"
+    for (generate, n, seed), digests in GENERATED_DIGESTS.items():
+        es = generate(bm.GenConfig(variable_count=n, seed=seed))
+        path.write_text(bm.print_bes(es))
+        for command, digest in digests.items():
+            code, out, _ = run(capsys, *command, str(path))
+            assert code == 0, (n, seed, command)
+            actual = hashlib.sha256(out.encode("utf-8")).hexdigest()
+            assert actual == digest, (n, seed, command)
+
+
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 CHECK_OK = ("check", "--fixture", "paper-application")
 CHECK_MISSING = ("check", "/nonexistent/input.bes")

@@ -40,13 +40,74 @@ def test_empty_input_is_empty_system():
     assert bm.parse_bes("  // only a comment\n") == bm.EquationSystem(())
 
 
+# (parser, text, message, line, column); line and column are None for errors
+# that carry no position
+ERRORS = [
+    (
+        bm.parse_bes,
+        "mu X = Y\nnu Y = X;",
+        "line 2, column 1: expected ';', got 'nu'",
+        2,
+        1,
+    ),
+    (bm.parse_bes, "mu X = $;", "line 1, column 8: unexpected character '$'", 1, 8),
+    (
+        bm.parse_bes,
+        "// c1\n// c2\nmu X = Y &&;\n",
+        "line 3, column 12: expected a formula, got ';'",
+        3,
+        12,
+    ),
+    (
+        bm.parse_bes,
+        "mu X = X;\r\nnu Y = $;\r\n",
+        "line 2, column 8: unexpected character '$'",
+        2,
+        8,
+    ),
+    (
+        bm.parse_bes,
+        "mu X = X;\r\nnu Y = X\r\n",
+        "line 3, column 1: expected ';', got 'end of input'",
+        3,
+        1,
+    ),
+    (
+        bm.parse_bes,
+        "mu X =\t\tX\t$;",
+        "line 1, column 11: unexpected character '$'",
+        1,
+        11,
+    ),
+    (bm.parse_bes, "mu X = Y", "line 1, column 9: expected ';', got 'end of input'", 1, 9),
+    (
+        bm.parse_formula,
+        "X && Y )",
+        "line 1, column 8: trailing input after formula: ')'",
+        1,
+        8,
+    ),
+    (bm.parse_bes, "mu X = \u00e9;", "line 1, column 8: unexpected character '\u00e9'", 1, 8),
+    (
+        bm.parse_bes,
+        "mu X = Y;\nnu Y = X;\nmu X = true;\n",
+        "variable X is bound by more than one equation (line 3)",
+        None,
+        None,
+    ),
+]
+
+
 def test_parse_error_positions():
-    with pytest.raises(bm.ParseError) as exc:
-        bm.parse_bes("mu X = Y\nnu Y = X;")
-    assert exc.value.line == 2 and exc.value.column == 1
-    with pytest.raises(bm.ParseError) as exc:
-        bm.parse_bes("mu X = $;")
-    assert exc.value.line == 1 and exc.value.column == 8
+    for parse, text, message, line, column in ERRORS:
+        with pytest.raises(bm.BesError) as exc:
+            parse(text)
+        assert str(exc.value) == message, text
+        if line is None:
+            assert type(exc.value) is bm.WellFormednessError
+        else:
+            assert type(exc.value) is bm.ParseError
+            assert (exc.value.line, exc.value.column) == (line, column), text
 
 
 def test_parse_rejections():

@@ -100,3 +100,33 @@ def test_srf_conversion_properties(es):
 def test_size_monotone_under_minimisation(es):
     result = bm.verify_system(es)
     assert bm.size(result.minimised_system) <= bm.size(bm.normalise_pipeline(es).system)
+
+
+FRAGMENTS = [
+    "mu ", "nu ", "X", "Y", "Z'", "_a", " = ", ";", "&&", "||", "(", ")",
+    "true", "false", "AND{", "OR{", ",", "}", " ", "\n", "\r\n", "\t",
+    "// c", "$", "\u00e9", "/", "&", "|", "mu X = X;",
+]
+
+
+@st.composite
+def texts(draw):
+    parts = draw(st.lists(st.sampled_from(FRAGMENTS), max_size=60))
+    return "".join(parts)[:200]
+
+
+@settings(max_examples=300, deadline=None)
+@given(texts())
+def test_parser_accepts_or_reports_a_position(text):
+    lines = text.split("\n")
+    for parse in (bm.parse_bes, bm.parse_formula):
+        try:
+            result = parse(text)
+        except bm.ParseError as exc:
+            assert exc.line >= 1
+            assert 1 <= exc.column <= len(lines[exc.line - 1]) + 1
+            continue
+        except bm.WellFormednessError:
+            continue
+        if parse is bm.parse_bes:
+            assert bm.parse_bes(bm.print_bes(result)) == result

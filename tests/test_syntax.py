@@ -37,6 +37,13 @@ def test_bnd_occ_closed():
     assert bm.occ(Const(True)) == set()
 
 
+def test_occ_of_a_long_chain_does_not_recurse():
+    es = bm.parse_bes("mu X = " + " && ".join(["X"] * 3000) + ";")
+    assert bm.occ(es) == {"X"}
+    assert bm.is_closed(es)
+    bm.syntax.require_closed(es)
+
+
 def test_rank_counts_sign_changes_from_nu():
     es = bm.parse_bes("nu A = A; mu B = A; mu C = B; nu D = C; mu E = D;")
     assert bm.ranks(es) == {"A": 0, "B": 1, "C": 1, "D": 2, "E": 3}
