@@ -21,7 +21,6 @@ from .graph import Decoration, Op, StructureGraph, bisimilar, translate
 from .syntax import (
     And,
     AndSet,
-    Const,
     EquationSystem,
     Formula,
     Or,
@@ -29,7 +28,6 @@ from .syntax import (
     Var,
     bnd,
     format_formula,
-    formula_key,
     is_general_syntax,
     is_srf,
     least_variable,
@@ -45,28 +43,93 @@ def _check_closed_nonempty(es: EquationSystem) -> None:
     require_closed(es)
 
 
-def _finish(init: Formula, seeds: list[Formula], deco_of, succ_of) -> StructureGraph:
-    """Reachable closure from the seeds, then id assignment by term order.
+_OPS = {And: Op.AND, AndSet: Op.AND, Or: Op.OR, OrSet: Op.OR}
+_TERM_DECO = {cls: Decoration(op) for cls, op in _OPS.items()}
+_CONSTANTS = {("true",): Decoration(Op.TOP), ("false",): Decoration(Op.BOT)}
 
-    Every node's successors and text are computed once; the text is both
-    its label and its sort key (the order ``formula_key`` gives)."""
-    succ: dict[Formula, list[Formula]] = {}
-    stack = list(seeds)
+
+def _graph(es: EquationSystem, t: Formula, successors) -> StructureGraph:
+    """The closure of ``t`` and the bound variables, then ids by text.
+
+    A node is keyed by a bound variable's name, or by a 1-tuple of the
+    text of any other formula, so that ``Var("true")`` and the constant
+    true stay apart; two formulas with one text (possible only with names
+    that are not identifiers) get keys that also hold the formula.  Each
+    node's text, decoration and successor keys (``successors(f, key_of)``
+    of the formula or of the variable's right-hand side) are computed once.
+    The text is also the node's label and its sort key: constants first,
+    then the text, in a stable sort over the closure's insertion order,
+    which is the order ``formula_key`` gives.
+    """
+    rhs_map = {eq.lhs: eq.rhs for eq in es}
+    shared: dict = {}  # one Decoration per (connective, rank)
+    var_deco = {}
+    for x, r in ranks(es).items():
+        cls = rhs_map[x].__class__
+        key = (cls if cls in _OPS else None, r)
+        if key not in shared:
+            shared[key] = Decoration(_OPS.get(cls, Op.NONE), frozenset({r}))
+        var_deco[x] = shared[key]
+    terms: dict = {}
+
+    def key_of(f: Formula):
+        if f.__class__ is Var:
+            return f.name
+        key = (format_formula(f),)
+        known = terms.setdefault(key, f)
+        if known is not f and known != f:
+            key = (key[0], f)
+            terms.setdefault(key, f)
+        return key
+
+    position: dict = {}
+    nodes: list = []  # (text, decoration, successor keys) in closure order
+    init = key_of(t)
+    stack = [init, *rhs_map]
     while stack:
-        f = stack.pop()
-        if f not in succ:
-            succ[f] = fs = succ_of(f)
-            stack.extend(fs)
-    ordered = sorted(
-        ((f, format_formula(f)) for f in succ),
-        key=lambda p: formula_key(p[0]) if isinstance(p[0], Const) else (1, 0, p[1]),
+        key = stack.pop()
+        if key in position:
+            continue
+        position[key] = len(nodes)
+        if key.__class__ is str:  # a bound variable
+            nodes.append((key, var_deco[key], successors(rhs_map[key], key_of)))
+        elif key in _CONSTANTS:
+            nodes.append((key[0], _CONSTANTS[key], []))
+        else:
+            f = terms[key]
+            nodes.append((key[0], _TERM_DECO[f.__class__], successors(f, key_of)))
+        stack.extend(nodes[-1][2])
+    first = [position[k] for k in _CONSTANTS if k in position]
+    texts = [node[0] for node in nodes]
+    order = first + sorted(
+        (i for i in range(len(nodes)) if i not in first), key=texts.__getitem__
     )
-    width = len(str(max(len(ordered) - 1, 0)))
-    ids = {f: f"n{i:0{width}d}" for i, (f, _) in enumerate(ordered)}
-    deco = {ids[f]: deco_of(f) for f, _ in ordered}
-    labels = {ids[f]: text for f, text in ordered}
-    edges = frozenset((ids[f], ids[g]) for f, fs in succ.items() for g in fs)
-    return StructureGraph(ids[init], deco, edges, labels)
+    width = len(str(max(len(order) - 1, 0)))
+    ids = [""] * len(order)
+    for j, i in enumerate(order):
+        ids[i] = f"n{j:0{width}d}"
+    return StructureGraph(
+        ids[position[init]],
+        {ids[i]: nodes[i][1] for i in order},
+        frozenset((ids[i], ids[position[k]]) for i, node in enumerate(nodes) for k in node[2]),
+        {ids[i]: texts[i] for i in order},
+    )
+
+
+def _leaves(f: Formula, key_of) -> list:
+    """The leaves of the same-connective block at ``f``, left to right, once each."""
+    cls = f.__class__
+    if cls is not And and cls is not Or:
+        return [key_of(f)]
+    keys: dict = {}
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if g.__class__ is cls:
+            stack += g.right, g.left
+        else:
+            keys[key_of(g)] = None
+    return list(keys)
 
 
 def build_graph(es: EquationSystem, t: Optional[Formula] = None) -> StructureGraph:
@@ -91,41 +154,7 @@ def build_graph(es: EquationSystem, t: Optional[Formula] = None) -> StructureGra
             f"formula mentions unbound variables: "
             f"{', '.join(sorted(occ(t) - bnd(es)))}"
         )
-    rhs_map = {eq.lhs: eq.rhs for eq in es}
-    rank_map = ranks(es)
-
-    def parts(f: Formula, conj: bool) -> list[Formula]:
-        # successors contributed by subterm f of a conj/disj term
-        if isinstance(f, And if conj else Or):
-            return successors(f)
-        return [f]
-
-    def successors(f: Formula) -> list[Formula]:
-        if isinstance(f, Const):
-            return []
-        if isinstance(f, (And, Or)):
-            conj = isinstance(f, And)
-            return list(dict.fromkeys(parts(f.left, conj) + parts(f.right, conj)))
-        if isinstance(f, Var):
-            g = rhs_map[f.name]
-            if isinstance(g, (And, Or)):
-                return successors(g)
-            return [g]
-        raise TypeError(f"not a general-syntax formula: {f!r}")
-
-    def deco_of(f: Formula) -> Decoration:
-        if isinstance(f, Const):
-            return Decoration(Op.TOP if f.value else Op.BOT)
-        if isinstance(f, And):
-            return Decoration(Op.AND)
-        if isinstance(f, Or):
-            return Decoration(Op.OR)
-        g = rhs_map[f.name]
-        op = Op.AND if isinstance(g, And) else Op.OR if isinstance(g, Or) else Op.NONE
-        return Decoration(op, frozenset({rank_map[f.name]}))
-
-    seeds = [t] + [Var(x) for x in bnd(es)]
-    return _finish(t, seeds, deco_of, successors)
+    return _graph(es, t, _leaves)
 
 
 def build_srf_graph(es: EquationSystem, t: Optional[Formula] = None) -> StructureGraph:
@@ -142,29 +171,7 @@ def build_srf_graph(es: EquationSystem, t: Optional[Formula] = None) -> Structur
             f"formula mentions unbound variables: "
             f"{', '.join(sorted(occ(t) - bnd(es)))}"
         )
-    rhs_map = {eq.lhs: eq.rhs for eq in es}
-    rank_map = ranks(es)
-
-    def successors(f: Formula) -> list[Formula]:
-        if isinstance(f, Var):
-            return [Var(y) for y in sorted(occ(rhs_map[f.name]))]
-        return [Var(y) for y in sorted(f.members)]
-
-    def deco_of(f: Formula) -> Decoration:
-        if isinstance(f, AndSet):
-            return Decoration(Op.AND)
-        if isinstance(f, OrSet):
-            return Decoration(Op.OR)
-        g = rhs_map[f.name]
-        op = (
-            Op.AND
-            if isinstance(g, AndSet)
-            else Op.OR if isinstance(g, OrSet) else Op.NONE
-        )
-        return Decoration(op, frozenset({rank_map[f.name]}))
-
-    seeds = [t] + [Var(x) for x in bnd(es)]
-    return _finish(t, seeds, deco_of, successors)
+    return _graph(es, t, lambda f, key_of: sorted(occ(f)))
 
 
 # ---------------------------------------------------------------------------

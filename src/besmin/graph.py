@@ -234,18 +234,16 @@ def translate(g: StructureGraph) -> tuple[Formula, EquationSystem, dict[str, str
 # Partition refinement (Kanellakis-Smolka style signature splitting)
 
 
-def _refine(ordered: list, succ: dict, initial_key: Callable) -> dict:
-    """Coarsest stable refinement of the partition by ``initial_key``.
+def _refine(succs: list[list[int]], keys: list) -> list[int]:
+    """Coarsest stable refinement of the partition of positions by ``keys``.
 
-    The successor lists are built once, as positions in ``ordered``.  Each
-    round regroups the nodes by their block and the set of their
+    ``succs[i]`` lists the successor positions of position ``i``.  Each
+    round regroups the positions by their block and the set of their
     successors' blocks, until the number of blocks stays the same.  Blocks
-    are numbered by the position of their first member in ``ordered``.
+    are numbered by their first member.
     """
-    position = {u: i for i, u in enumerate(ordered)}
-    succs = [[position[v] for v in succ[u]] for u in ordered]
     ids: dict = {}
-    block = [ids.setdefault(initial_key(u), len(ids)) for u in ordered]
+    block = [ids.setdefault(key, len(ids)) for key in keys]
     while True:
         count, block_of = len(ids), block.__getitem__
         ids = {}
@@ -254,54 +252,61 @@ def _refine(ordered: list, succ: dict, initial_key: Callable) -> dict:
             for b, vs in zip(block, succs)
         ]
         if len(ids) == count:
-            return dict(zip(ordered, block))
+            return block
+
+
+def _positions(nodes: list[str], g: StructureGraph, offset: int = 0) -> list[list[int]]:
+    """Successor positions of ``nodes``, each node at its index plus ``offset``."""
+    position = {u: i for i, u in enumerate(nodes, offset)}
+    succs: list[list[int]] = [[] for _ in nodes]
+    for a, b in g.edges:
+        succs[position[a] - offset].append(position[b])
+    return succs
 
 
 def minimize(g: StructureGraph) -> tuple[StructureGraph, dict[str, str]]:
     """Quotient under the coarsest decoration-respecting bisimulation.
 
-    Returns the quotient graph and the node-to-block mapping.
+    Returns the quotient graph and the node-to-block mapping.  Refinement
+    runs over the nodes in label order, so each block's first member
+    carries the block's least label and block ``b`` is named ``b{b}``.
     """
-    succ = g.successors()
-    block = _refine(sorted(g.deco, key=_node_key(g)), succ, g.deco.__getitem__)
-    members: dict[int, list[str]] = {}
-    for u, b in block.items():
-        members.setdefault(b, []).append(u)
-    # deterministic block ids, ordered by the least member label
-    def block_label(b: int) -> str:
-        return min((g.label(u) for u in members[b]), key=_label_key)
-
-    order = sorted(members, key=lambda b: (_label_key(block_label(b)), b))
-    width = len(str(max(len(order) - 1, 0)))
-    block_id = {b: f"b{i:0{width}d}" for i, b in enumerate(order)}
-    mapping = {u: block_id[block[u]] for u in g.deco}
-    deco = {block_id[b]: g.deco[members[b][0]] for b in members}
-    labels = {block_id[b]: block_label(b) for b in members}
-    edges = frozenset((mapping[a], mapping[b]) for a, b in g.edges)
-    quotient = StructureGraph(mapping[g.init], deco, edges, labels)
+    nodes = sorted(g.deco, key=_node_key(g))
+    decos = [g.deco[u] for u in nodes]
+    succs = _positions(nodes, g)
+    block = _refine(succs, decos)
+    first: list[int] = []  # the first member of each block
+    for i, b in enumerate(block):
+        if b == len(first):
+            first.append(i)
+    width = len(str(max(len(first) - 1, 0)))
+    names = [f"b{b:0{width}d}" for b in range(len(first))]
+    mapping = {u: names[b] for u, b in zip(nodes, block)}
+    pairs = {(block[i], block[j]) for i, vs in enumerate(succs) for j in vs}
+    quotient = StructureGraph(
+        mapping[g.init],
+        {names[b]: decos[i] for b, i in enumerate(first)},
+        frozenset((names[a], names[b]) for a, b in pairs),
+        {names[b]: g.label(nodes[i]) for b, i in enumerate(first)},
+    )
     # the mapping is a functional bisimulation: it keeps every node's
     # decoration and maps its successors onto its block's successors
-    succ_q = quotient.successors()
+    succ_q: list[set[int]] = [set() for _ in first]
+    for a, b in pairs:
+        succ_q[a].add(b)
     assert all(
-        g.deco[u] == deco[mapping[u]]
-        and {mapping[v] for v in succ[u]} == succ_q[mapping[u]]
-        for u in g.deco
+        decos[i] == decos[first[b]] and {block[j] for j in vs} == succ_q[b]
+        for i, (b, vs) in enumerate(zip(block, succs))
     ), "the block mapping must be a functional bisimulation"
     return quotient, mapping
 
 
 def bisimilar(g: StructureGraph, h: StructureGraph) -> bool:
     """Whether the initial nodes of two graphs are bisimilar."""
-    deco: dict = {}
-    succ: dict = {}
-    for side, graph in enumerate((g, h)):
-        for u, d in graph.deco.items():
-            deco[side, u] = d
-            succ[side, u] = set()
-        for a, b in graph.edges:
-            succ[side, a].add((side, b))
-    block = _refine(list(deco), succ, deco.__getitem__)
-    return block[0, g.init] == block[1, h.init]
+    g_nodes, h_nodes = list(g.deco), list(h.deco)
+    succs = _positions(g_nodes, g) + _positions(h_nodes, h, len(g_nodes))
+    block = _refine(succs, [*g.deco.values(), *h.deco.values()])
+    return block[g_nodes.index(g.init)] == block[len(g_nodes) + h_nodes.index(h.init)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Recursive-descent parser for the concrete equation-system text format.
+"""Operator-precedence parser for the concrete equation-system text format.
 
 Grammar::
 
@@ -15,19 +15,27 @@ digits, underscores and primes.  "//" starts a line comment.  Chained
 same-operator formulas parse to a left-nested binary AST; parentheses
 are preserved as explicit nesting.
 
-The text is tokenized in one regular-expression pass, each match being
-one token together with the white space and comments before it, into
-three parallel lists: kind, text and start offset of every token, ending
-with ``eof``.  The parser reads them by index.  Line and column are
-computed from the offset only when an error is reported.  Constants are
-the shared ``TRUE``/``FALSE`` and every name gets one shared ``Var``.
+One ``findall`` pass of a regular expression gives the token texts,
+each match being one token together with the white space and comments
+before it; the empty text ends the input.  A token's kind is the token
+itself for keywords and operators, an identifier if it starts with an
+ASCII letter or underscore, and an unexpected character otherwise.
+Formulas are read by one loop that keeps the enclosing disjunction and
+conjunction of every open parenthesis on an explicit stack, so nesting
+depth is bounded by memory, not by Python's recursion limit.  Offsets,
+lines and columns are computed only when an error is reported, by
+scanning the text again; an unexpected character is reported before any
+other error, wherever it is.  Constants are the shared ``TRUE``/``FALSE``
+and every name gets one shared ``Var``.
 """
 
 from __future__ import annotations
 
 import re
+import string
+from itertools import islice
 
-from .errors import ParseError, WellFormednessError
+from .errors import BesError, ParseError, WellFormednessError
 from .syntax import (
     FALSE,
     TRUE,
@@ -45,151 +53,149 @@ from .syntax import (
 _TOKEN_RE = re.compile(
     r"""
     [ \t\r\n]* (?: //[^\n]* [ \t\r\n]* )*    # white space and comments
-    (?:
-        (?P<ident>[A-Za-z_][A-Za-z0-9_']*)
-      | (?P<op>&&|\|\||[=;(){},])
-      | (?P<bad>.)
-      | \Z                                # white space at the end
+    (
+        [A-Za-z_][A-Za-z0-9_']*             # identifier or keyword
+      | && | \|\| | [=;(){},]
+      | .                                   # an unexpected character
+      | \Z                                  # the end: an empty token
     )
     """,
     re.VERBOSE,
 )
 
-_KEYWORDS = {"mu", "nu", "true", "false", "AND", "OR"}
+_KEYWORDS = frozenset({"mu", "nu", "true", "false", "AND", "OR"})
+_OPERATORS = frozenset({"&&", "||", "=", ";", "(", ")", "{", "}", ",", ""})
+_NAME_START = frozenset(string.ascii_letters + "_")
+
+
+def _is_name(token: str) -> bool:
+    return token[:1] in _NAME_START and token not in _KEYWORDS
 
 
 def _line(text: str, offset: int) -> int:
     return text.count("\n", 0, offset) + 1
 
 
-def _error(text: str, offset: int, message: str) -> ParseError:
-    return ParseError(message, _line(text, offset), offset - text.rfind("\n", 0, offset))
-
-
-def _tokenize(text: str) -> tuple[list[str], list[str], list[int]]:
-    """Kinds ('ident', a keyword or an operator; 'eof' last), texts and
-    start offsets of the tokens."""
-    kinds: list[str] = []
-    texts: list[str] = []
-    starts: list[int] = []
-    for m in _TOKEN_RE.finditer(text):
-        group = m.lastgroup
-        if group is None:
-            continue
-        word = m.group(group)
-        if group == "ident":
-            kinds.append(word if word in _KEYWORDS else "ident")
-        elif group == "op":
-            kinds.append(word)
-        else:
-            raise _error(text, m.start(group), f"unexpected character {word!r}")
-        texts.append(word)
-        starts.append(m.start(group))
-    kinds.append("eof")
-    texts.append("")
-    starts.append(len(text))
-    return kinds, texts, starts
-
-
 class _Parser:
     def __init__(self, text: str):
         self.text = text
-        self.kinds, self.texts, self.starts = _tokenize(text)
-        self.pos = 0
+        self.tokens = _TOKEN_RE.findall(text)
         self.variables: dict[str, Var] = {}  # one shared Var per name
 
-    def error(self, message: str) -> ParseError:
-        return _error(self.text, self.starts[self.pos], message)
+    def offset(self, index: int) -> int:
+        return next(islice(_TOKEN_RE.finditer(self.text), index, None)).start(1)
 
-    def unexpected(self, expected: str) -> ParseError:
-        return self.error(f"{expected}, got {self.texts[self.pos] or 'end of input'!r}")
+    def error(self, index: int, message: str) -> ParseError:
+        offset = self.offset(index)
+        column = offset - self.text.rfind("\n", 0, offset)
+        return ParseError(message, _line(self.text, offset), column)
 
-    def expect(self, kind: str) -> str:
-        pos = self.pos
-        if self.kinds[pos] != kind:
-            raise self.unexpected(f"expected {kind!r}")
-        self.pos = pos + 1
-        return self.texts[pos]
+    def unexpected(self, index: int, expected: str) -> ParseError:
+        return self.error(index, f"{expected}, got {self.tokens[index] or 'end of input'!r}")
 
-    def parse_system(self) -> EquationSystem:
-        kinds = self.kinds
+    def expect(self, index: int, token: str) -> int:
+        if self.tokens[index] != token:
+            raise self.unexpected(index, f"expected {token!r}")
+        return index + 1
+
+    def name(self, index: int) -> int:
+        if not _is_name(self.tokens[index]):
+            raise self.unexpected(index, "expected 'ident'")
+        return index + 1
+
+    def run(self, rule):
+        try:
+            return rule()
+        except BesError:
+            # an unexpected character anywhere is reported first, as a
+            # tokenizer run before the parser would
+            for index, token in enumerate(self.tokens):
+                if token not in _OPERATORS and token[0] not in _NAME_START:
+                    raise self.error(index, f"unexpected character {token!r}") from None
+            raise
+
+    def system(self) -> EquationSystem:
+        tokens = self.tokens
         equations = []
         bound = set()
-        while kinds[self.pos] != "eof":
-            sign = kinds[self.pos]
-            if sign not in ("mu", "nu"):
-                raise self.unexpected("expected 'mu' or 'nu'")
-            self.pos += 1
-            name_start = self.starts[self.pos]
-            name = self.expect("ident")
+        pos = 0
+        while tokens[pos]:
+            sign = tokens[pos]
+            if sign != "mu" and sign != "nu":
+                raise self.unexpected(pos, "expected 'mu' or 'nu'")
+            name = tokens[pos + 1]
+            pos = self.name(pos + 1)
             if name in bound:
                 raise WellFormednessError(
-                    f"variable {name} is bound by more than one "
-                    f"equation (line {_line(self.text, name_start)})"
+                    f"variable {name} is bound by more than one equation "
+                    f"(line {_line(self.text, self.offset(pos - 1))})"
                 )
             bound.add(name)
-            self.expect("=")
-            rhs = self.parse_formula()
-            self.expect(";")
-            equations.append(
-                Equation(Fixpoint.MU if sign == "mu" else Fixpoint.NU, name, rhs)
-            )
+            rhs, pos = self.formula(self.expect(pos, "="))
+            pos = self.expect(pos, ";")
+            equations.append(Equation(Fixpoint.MU if sign == "mu" else Fixpoint.NU, name, rhs))
         return EquationSystem(tuple(equations))
 
-    def parse_formula(self) -> Formula:
-        f = self.parse_conj()
-        while self.kinds[self.pos] == "||":
-            self.pos += 1
-            f = Or(f, self.parse_conj())
+    def whole_formula(self) -> Formula:
+        f, pos = self.formula(0)
+        if self.tokens[pos]:
+            raise self.error(pos, f"trailing input after formula: {self.tokens[pos]!r}")
         return f
 
-    def parse_conj(self) -> Formula:
-        f = self.parse_atom()
-        while self.kinds[self.pos] == "&&":
-            self.pos += 1
-            f = And(f, self.parse_atom())
-        return f
-
-    def parse_atom(self) -> Formula:
-        pos = self.pos
-        kind = self.kinds[pos]
-        if kind == "ident":
-            self.pos = pos + 1
-            name = self.texts[pos]
-            var = self.variables.get(name)
-            if var is None:
-                var = self.variables[name] = Var(name)
-            return var
-        if kind in ("true", "false"):
-            self.pos = pos + 1
-            return TRUE if kind == "true" else FALSE
-        if kind == "(":
-            self.pos = pos + 1
-            f = self.parse_formula()
-            self.expect(")")
-            return f
-        if kind in ("AND", "OR"):
-            self.pos = pos + 1
-            self.expect("{")
-            members = [self.expect("ident")]
-            while self.kinds[self.pos] == ",":
-                self.pos += 1
-                members.append(self.expect("ident"))
-            self.expect("}")
-            cls = AndSet if kind == "AND" else OrSet
-            return cls(frozenset(members))
-        raise self.unexpected("expected a formula")
+    def formula(self, pos: int) -> tuple[Formula, int]:
+        """The formula starting at token ``pos`` and the index after it."""
+        tokens = self.tokens
+        variables = self.variables
+        open_parens: list[tuple] = []  # (disjunction, conjunction) around each "("
+        disj = conj = None
+        while True:
+            token = tokens[pos]
+            atom = variables.get(token)
+            if atom is None:
+                if token == "(":
+                    open_parens.append((disj, conj))
+                    disj = conj = None
+                    pos += 1
+                    continue
+                if token == "true" or token == "false":
+                    atom = TRUE if token == "true" else FALSE
+                elif token == "AND" or token == "OR":
+                    pos = self.name(self.expect(pos + 1, "{"))
+                    members = [tokens[pos - 1]]
+                    while tokens[pos] == ",":
+                        pos = self.name(pos + 1)
+                        members.append(tokens[pos - 1])
+                    self.expect(pos, "}")
+                    atom = (AndSet if token == "AND" else OrSet)(frozenset(members))
+                elif _is_name(token):
+                    atom = variables[token] = Var(token)
+                else:
+                    raise self.unexpected(pos, "expected a formula")
+            pos += 1
+            while True:
+                conj = atom if conj is None else And(conj, atom)
+                token = tokens[pos]
+                if token == "&&":
+                    break
+                disj = conj if disj is None else Or(disj, conj)
+                conj = None
+                if token == "||":
+                    break
+                if not open_parens:
+                    return disj, pos
+                if token != ")":
+                    raise self.unexpected(pos, "expected ')'")
+                atom = disj
+                disj, conj = open_parens.pop()
+                pos += 1
+            pos += 1
 
 
 def parse_bes(text: str) -> EquationSystem:
-    return _Parser(text).parse_system()
+    parser = _Parser(text)
+    return parser.run(parser.system)
 
 
 def parse_formula(text: str) -> Formula:
     parser = _Parser(text)
-    f = parser.parse_formula()
-    if parser.kinds[parser.pos] != "eof":
-        raise parser.error(
-            f"trailing input after formula: {parser.texts[parser.pos]!r}"
-        )
-    return f
+    return parser.run(parser.whole_formula)

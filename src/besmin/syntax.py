@@ -237,16 +237,22 @@ def alternation_hierarchy(es: EquationSystem) -> int:
 
 def _formula_size(f: Formula) -> tuple[int, int]:
     """(leaf count, binary connective count) of a right-hand side."""
-    if isinstance(f, (Const, Var)):
-        return 1, 0
-    if isinstance(f, (And, Or)):
-        ll, lc = _formula_size(f.left)
-        rl, rc = _formula_size(f.right)
-        return ll + rl, lc + rc + 1
-    if isinstance(f, (AndSet, OrSet)):
-        n = len(f.members)
-        return n, n - 1
-    raise TypeError(f"not a formula: {f!r}")
+    leaves = connectives = 0
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, (And, Or)):
+            connectives += 1
+            stack.append(g.right)
+            stack.append(g.left)
+        elif isinstance(g, (Const, Var)):
+            leaves += 1
+        elif isinstance(g, (AndSet, OrSet)):
+            leaves += len(g.members)
+            connectives += len(g.members) - 1
+        else:
+            raise TypeError(f"not a formula: {g!r}")
+    return leaves, connectives
 
 
 def size(es: EquationSystem) -> int:
@@ -259,10 +265,14 @@ def size(es: EquationSystem) -> int:
 
 
 def is_general_syntax(f: Formula) -> bool:
-    if isinstance(f, (AndSet, OrSet)):
-        return False
-    if isinstance(f, (And, Or)):
-        return is_general_syntax(f.left) and is_general_syntax(f.right)
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, (AndSet, OrSet)):
+            return False
+        if isinstance(g, (And, Or)):
+            stack.append(g.left)
+            stack.append(g.right)
     return True
 
 

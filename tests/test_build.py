@@ -3,7 +3,7 @@
 import pytest
 
 import besmin as bm
-from besmin import Decoration, Op, Var
+from besmin import And, Const, Decoration, Op, Or, Var
 from conftest import by_label, edges_by_label, oracle
 
 R = lambda *rs: frozenset(rs)
@@ -68,6 +68,52 @@ def test_build_graph_with_formula():
     g = bm.build_graph(es, bm.parse_formula("Z || W"))
     assert g.label(g.init) == "Z || W"
     assert bm.is_bessy(g) == []
+
+
+def test_node_identity_with_names_that_are_not_identifiers():
+    # a variable, a constant and a subterm with one text stay distinct nodes,
+    # and so do two different subterms with one text
+    MU, NU = bm.Fixpoint.MU, bm.Fixpoint.NU
+    es = bm.system(bm.Equation(NU, "true", And(Const(True), Var("true"))))
+    assert bm.serialize_graph(bm.build_graph(es)) == (
+        "sgraph v1\ninit n1\n"
+        'node n0 op=top ranks=- label="true"\n'
+        'node n1 op=and ranks=0 label="true"\n'
+        "edge n1 n0\nedge n1 n1\n"
+    )
+    t = And(Var("a"), Var("b"))
+    es = bm.system(
+        bm.Equation(NU, "a && b", Var("a && b")),
+        bm.Equation(MU, "a", t),
+        bm.Equation(MU, "b", Var("a && b")),
+    )
+    assert bm.serialize_graph(bm.build_graph(es, t)) == (
+        "sgraph v1\ninit n2\n"
+        'node n0 op=and ranks=1 label="a"\n'
+        'node n1 op=none ranks=0 label="a && b"\n'
+        'node n2 op=and ranks=- label="a && b"\n'
+        'node n3 op=none ranks=1 label="b"\n'
+        "edge n0 n0\nedge n0 n3\nedge n1 n1\nedge n2 n0\nedge n2 n3\nedge n3 n1\n"
+    )
+    es = bm.system(
+        bm.Equation(NU, "X", Or(And(Var("a && b"), Var("c")), And(t, Var("c")))),
+        bm.Equation(MU, "a && b", Var("X")),
+        bm.Equation(MU, "a", Var("a")),
+        bm.Equation(MU, "b", Var("X")),
+        bm.Equation(MU, "c", Var("c")),
+    )
+    assert bm.serialize_graph(bm.build_graph(es)) == (
+        "sgraph v1\ninit n0\n"
+        'node n0 op=or ranks=0 label="X"\n'
+        'node n1 op=none ranks=1 label="a"\n'
+        'node n2 op=none ranks=1 label="a && b"\n'
+        'node n3 op=and ranks=- label="a && b && c"\n'
+        'node n4 op=and ranks=- label="a && b && c"\n'
+        'node n5 op=none ranks=1 label="b"\n'
+        'node n6 op=none ranks=1 label="c"\n'
+        "edge n0 n3\nedge n0 n4\nedge n1 n1\nedge n2 n0\nedge n3 n1\nedge n3 n5\n"
+        "edge n3 n6\nedge n4 n2\nedge n4 n6\nedge n5 n0\nedge n6 n6\n"
+    )
 
 
 def test_build_graph_preconditions():

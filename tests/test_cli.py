@@ -199,6 +199,25 @@ def test_verify_failure_exit_3(monkeypatch, capsys):
     assert not bm.verify_system(bm.fixture("paper-application")).ok
 
 
+def test_deep_input_probe(tmp_path, capsys):
+    # 10,000 nested parentheses read like none at all
+    flat = tmp_path / "flat.bes"
+    flat.write_text("mu X = X || Y; nu Y = X && Y;")
+    nested = tmp_path / "nested.bes"
+    nested.write_text("mu X = " + "(" * 10_000 + "X || Y" + ")" * 10_000 + "; nu Y = X && Y;")
+    for command in (("check",), ("solve",), ("graph",), ("minimize", "--emit", "bes"), ("verify",)):
+        expected = run(capsys, *command, str(flat))
+        assert expected[0] == 0, command
+        assert run(capsys, *command, str(nested)) == expected, command
+    # a 3,000-operand conjunction chain
+    chain = tmp_path / "chain.bes"
+    chain.write_text("mu X = " + " && ".join(["X"] * 3000) + ";")
+    for command in (("check",), ("graph",), ("minimize",)):
+        code, out, err = run(capsys, *command, str(chain))
+        assert (code, err) == (0, ""), command
+    assert "size: 6000" in run(capsys, "check", str(chain))[1]
+
+
 # sha256 of stdout; every command exits 0
 OUTPUT_DIGESTS = {
     "example-structure-graph": {

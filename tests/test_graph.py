@@ -111,13 +111,46 @@ def test_minimize_fixture_counts():
 def test_minimize_checks_its_block_mapping(monkeypatch):
     # a refinement that stops at the decoration partition merges nodes whose
     # successors fall into different blocks; minimize must not return it
-    def decoration_blocks(ordered, succ, initial_key):
-        keys: dict = {}
-        return {u: keys.setdefault(initial_key(u), len(keys)) for u in ordered}
+    def decoration_blocks(succs, keys):
+        ids: dict = {}
+        return [ids.setdefault(key, len(ids)) for key in keys]
 
     monkeypatch.setattr(besmin.graph, "_refine", decoration_blocks)
     with pytest.raises(AssertionError):
         bm.minimize(bm.build_graph(bm.fixture("paper-application")))
+
+
+def test_minimize_hand_built_graph():
+    # node ids out of label order, and labels shared within a block ("Y")
+    # and across blocks ("V"): blocks are numbered by their least label
+    deco = {
+        "n0": Decoration(Op.NONE, R(2)),
+        "n1": Decoration(Op.OR, R(1)),
+        "n2": Decoration(Op.NONE, R(2)),
+        "n3": Decoration(Op.NONE, R(0)),
+        "n4": Decoration(Op.NONE, R(0)),
+        "n5": Decoration(Op.BOT),
+        "n6": Decoration(Op.AND),
+        "n7": Decoration(Op.NONE, R(1)),
+    }
+    labels = {"n0": "Y", "n1": "X", "n2": "Y", "n3": "W", "n4": "V", "n5": "false", "n6": "U", "n7": "V"}
+    edges = {("n0", "n3"), ("n1", "n0"), ("n1", "n2"), ("n1", "n7"), ("n2", "n4")}
+    edges |= {("n3", "n3"), ("n4", "n4"), ("n6", "n5"), ("n6", "n1"), ("n7", "n7")}
+    quotient, mapping = bm.minimize(StructureGraph("n6", deco, frozenset(edges), labels))
+    assert mapping == {
+        "n0": "b5", "n1": "b4", "n2": "b5", "n3": "b2",
+        "n4": "b2", "n5": "b0", "n6": "b1", "n7": "b3",
+    }
+    assert bm.serialize_graph(quotient) == (
+        "sgraph v1\ninit b1\n"
+        'node b0 op=bot ranks=- label="false"\n'
+        'node b1 op=and ranks=- label="U"\n'
+        'node b2 op=none ranks=0 label="V"\n'
+        'node b3 op=none ranks=1 label="V"\n'
+        'node b4 op=or ranks=1 label="X"\n'
+        'node b5 op=none ranks=2 label="Y"\n'
+        "edge b1 b0\nedge b1 b4\nedge b2 b2\nedge b3 b3\nedge b4 b3\nedge b4 b5\nedge b5 b2\n"
+    )
 
 
 def test_minimize_is_idempotent():

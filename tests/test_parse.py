@@ -90,6 +90,29 @@ ERRORS = [
     (bm.parse_bes, "mu X = \u00e9;", "line 1, column 8: unexpected character '\u00e9'", 1, 8),
     (
         bm.parse_bes,
+        "mu X = (((X || Y) && Z);",
+        "line 1, column 24: expected ')', got ';'",
+        1,
+        24,
+    ),
+    (bm.parse_bes, "nu X = X);", "line 1, column 9: expected ';', got ')'", 1, 9),
+    (bm.parse_bes, "mu X = ();", "line 1, column 9: expected a formula, got ')'", 1, 9),
+    (
+        bm.parse_bes,
+        "mu X = (X ||\n);",
+        "line 2, column 1: expected a formula, got ')'",
+        2,
+        1,
+    ),
+    (
+        bm.parse_formula,
+        "((X)",
+        "line 1, column 5: expected ')', got 'end of input'",
+        1,
+        5,
+    ),
+    (
+        bm.parse_bes,
         "mu X = Y;\nnu Y = X;\nmu X = true;\n",
         "variable X is bound by more than one equation (line 3)",
         None,
