@@ -2,11 +2,9 @@
 bisimulation minimisation, and cross-checked solving."""
 
 from .build import (
-    bisimilar_in_context,
     build_graph,
     build_srf_graph,
     normalise_graph,
-    normalise_pipeline,
     reduce_graph,
 )
 from .errors import (
@@ -24,7 +22,6 @@ from .graph import (
     Op,
     StructureGraph,
     bisimilar,
-    graph_isomorphic,
     is_bessy,
     minimize,
     parse_graph,
@@ -36,7 +33,6 @@ from .graph import (
 from .parse import parse_bes, parse_formula
 from .solve import (
     eval_formula,
-    solve,
     solve_formula,
     solve_gauss,
     solve_recursive,
@@ -68,6 +64,6 @@ from .syntax import (
     system,
 )
 from .transform import hbar, hbar_formula, move_equation, swap_equations, to_srf
-from .verify import VerifyResult, verify_system
+from .verify import PipelineResult, VerifyResult, pipeline, verify_system
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -13,11 +13,10 @@ graph translates back into an equation system in SRF.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .errors import BesError, OpenSystemError, UnrankedCycleError
-from .graph import Decoration, Op, StructureGraph, bisimilar, translate
+from .graph import Decoration, Op, StructureGraph
 from .syntax import (
     And,
     AndSet,
@@ -244,36 +243,3 @@ def normalise_graph(g: StructureGraph) -> StructureGraph:
             deco[u] = Decoration(d.op, frozenset({node_rank(u)}))
     return StructureGraph(g.init, deco, g.edges, dict(g.labels))
 
-
-# ---------------------------------------------------------------------------
-# Pipelines
-
-
-@dataclass(frozen=True)
-class NormalisationResult:
-    graph: StructureGraph
-    system: EquationSystem
-    names: dict[str, str]  # node id -> generated variable
-    variable_map: dict[str, str]  # original bound variable -> generated variable
-
-
-def _variable_nodes(g: StructureGraph, es: EquationSystem) -> dict[str, str]:
-    by_label = {g.label(u): u for u in g.deco}
-    return {x: by_label[x] for x in bnd(es) if x in by_label}
-
-
-def normalise_pipeline(es: EquationSystem) -> NormalisationResult:
-    g = normalise_graph(reduce_graph(build_graph(es)))
-    _, system, names = translate(g)
-    var_nodes = _variable_nodes(g, es)
-    variable_map = {x: names[u] for x, u in var_nodes.items()}
-    return NormalisationResult(g, system, names, variable_map)
-
-
-def bisimilar_in_context(
-    es: EquationSystem,
-    f: Formula,
-    es2: EquationSystem,
-    f2: Formula,
-) -> bool:
-    return bisimilar(build_graph(es, f), build_graph(es2, f2))

@@ -13,7 +13,7 @@ from typing import Optional
 from .build import build_graph, build_srf_graph, normalise_graph, reduce_graph
 from .errors import BesError, ParseError, WellFormednessError
 from .fixtures import fixture_names, fixture_text
-from .graph import minimize, serialize_graph, to_dot, translate
+from .graph import minimize, serialize_graph, to_dot
 from .parse import parse_bes, parse_formula
 from .solve import solve_gauss, solve_recursive
 from .syntax import (
@@ -26,7 +26,7 @@ from .syntax import (
     require_closed,
     size,
 )
-from .verify import verify_system
+from .verify import pipeline, verify_system
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -106,28 +106,24 @@ def _cmd_graph(args) -> int:
 
 def _cmd_minimize(args) -> int:
     es = _load_system(args)
-    graph = build_graph(es)
-    quotient, mapping = minimize(graph)
     if args.emit == "graph":
+        quotient, _ = minimize(build_graph(es))
         sys.stdout.write(serialize_graph(quotient))
         return EXIT_OK
-    _, system, names = translate(quotient)
-    sys.stdout.write(print_bes(system))
+    m = pipeline(es)
+    sys.stdout.write(print_bes(m.system))
     print("---")
-    print(f"equations: {len(system.equations)}")
+    print(f"equations: {len(m.system.equations)}")
     members: dict[str, list[str]] = {}
-    for u, block in mapping.items():
-        members.setdefault(block, []).append(graph.label(u))
-    block_of = {name: block for block, name in names.items()}
-    for eq in system:
-        originals = ", ".join(sorted(members[block_of[eq.lhs]]))
-        print(f"{eq.lhs} <= {{{originals}}}")
+    for u, block in m.block_of.items():
+        members.setdefault(m.names[block], []).append(m.graph.label(u))
+    for eq in m.system:
+        print(f"{eq.lhs} <= {{{', '.join(sorted(members[eq.lhs]))}}}")
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
     es = _load_system(args)
-    require_closed(es)
     if not es.equations:
         raise _CliFailure("cannot verify an empty system", EXIT_PRECONDITION)
     result = verify_system(es)

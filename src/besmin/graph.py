@@ -310,64 +310,6 @@ def bisimilar(g: StructureGraph, h: StructureGraph) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Isomorphism (desk-scale backtracking with decoration/degree pruning)
-
-
-def graph_isomorphic(g: StructureGraph, h: StructureGraph) -> bool:
-    if len(g.deco) != len(h.deco) or len(g.edges) != len(h.edges):
-        return False
-    succ_g, succ_h = g.successors(), h.successors()
-    pred_g: dict[str, set[str]] = {u: set() for u in g.deco}
-    pred_h: dict[str, set[str]] = {u: set() for u in h.deco}
-    for a, b in g.edges:
-        pred_g[b].add(a)
-    for a, b in h.edges:
-        pred_h[b].add(a)
-
-    def profile(graph, succ, pred, u):
-        return (graph.deco[u], len(succ[u]), len(pred[u]))
-
-    if sorted(
-        map(repr, (profile(g, succ_g, pred_g, u) for u in g.deco))
-    ) != sorted(map(repr, (profile(h, succ_h, pred_h, u) for u in h.deco))):
-        return False
-    if profile(g, succ_g, pred_g, g.init) != profile(h, succ_h, pred_h, h.init):
-        return False
-
-    order = [g.init] + sorted(set(g.deco) - {g.init})
-    mapping: dict[str, str] = {}
-    used: set[str] = set()
-
-    def consistent(u: str, v: str) -> bool:
-        if profile(g, succ_g, pred_g, u) != profile(h, succ_h, pred_h, v):
-            return False
-        for w, x in mapping.items():
-            if ((u, w) in g.edges) != ((v, x) in h.edges):
-                return False
-            if ((w, u) in g.edges) != ((x, v) in h.edges):
-                return False
-        return True
-
-    def extend(i: int) -> bool:
-        if i == len(order):
-            return True
-        u = order[i]
-        candidates = [h.init] if u == g.init else sorted(set(h.deco) - used)
-        for v in candidates:
-            if v in used or not consistent(u, v):
-                continue
-            mapping[u] = v
-            used.add(v)
-            if extend(i + 1):
-                return True
-            del mapping[u]
-            used.remove(v)
-        return False
-
-    return extend(0)
-
-
-# ---------------------------------------------------------------------------
 # Dependency graphs for systems in SRF
 
 

@@ -146,10 +146,6 @@ def solve_gauss(es: EquationSystem) -> dict[str, bool]:
     return assignment
 
 
-def solve(es: EquationSystem) -> dict[str, bool]:
-    return solve_gauss(es)
-
-
 def solve_formula(es: EquationSystem, f: Formula) -> bool:
     if not occ(f) <= bnd(es):
         unbound = sorted(occ(f) - bnd(es))

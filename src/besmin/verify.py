@@ -1,54 +1,73 @@
-"""End-to-end check of the solution-preservation result.
+"""The minimisation pipeline and the end-to-end check of its result.
 
-Runs the full pipeline (build, eliminate constants, rank, minimise,
-translate back), checks the quotient bisimilar to the normalised graph,
-solves the original and the minimised system with both solvers, and
-compares the solutions variable by variable through the quotient mapping.
+``pipeline`` builds the structure graph of a closed system, minimises it
+and translates the quotient back into an equation system; ``besmin
+minimize --emit bes`` prints that system.  ``verify_system`` checks the
+paper's solution-preservation result on exactly that system: the
+quotient is bisimilar to the structure graph, and solving the original
+and the minimised system with both solvers gives every variable the
+solution of the variable it is mapped to through the quotient.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .build import _variable_nodes, build_graph, normalise_graph, reduce_graph
-from .graph import bisimilar, minimize, translate
+from .build import build_graph
+from .graph import StructureGraph, bisimilar, minimize, translate
 from .solve import solve_gauss, solve_recursive
 from .syntax import EquationSystem, bnd
+
+
+@dataclass(frozen=True)
+class PipelineResult:
+    graph: StructureGraph  # the structure graph of the system
+    quotient: StructureGraph
+    block_of: dict[str, str]  # graph node -> quotient node
+    system: EquationSystem  # the translated quotient
+    names: dict[str, str]  # quotient node -> variable of ``system``
+
+
+def pipeline(es: EquationSystem) -> PipelineResult:
+    """Build, minimise and translate back the structure graph of ``es``."""
+    graph = build_graph(es)
+    quotient, block_of = minimize(graph)
+    _, system, names = translate(quotient)
+    return PipelineResult(graph, quotient, block_of, system, names)
 
 
 @dataclass(frozen=True)
 class VerifyResult:
     ok: bool
     variable_map: dict[str, str]  # original variable -> minimised variable
-    original_solution: dict[str, bool]
-    minimised_solution: dict[str, bool]
     minimised_system: EquationSystem
     mismatches: list[str]
 
 
 def verify_system(es: EquationSystem) -> VerifyResult:
-    graph = build_graph(es)
-    normalised = normalise_graph(reduce_graph(graph))
-    quotient, block_of = minimize(normalised)
-    _, minimised, names = translate(quotient)
-    var_nodes = _variable_nodes(graph, es)
-    variable_map = {x: names[block_of[u]] for x, u in var_nodes.items()}
+    m = pipeline(es)
+    # the ranked nodes of a built graph are exactly its bound variables
+    variable_map = {
+        m.graph.label(u): m.names[m.block_of[u]]
+        for u, d in m.graph.deco.items()
+        if d.ranks
+    }
 
     original_gauss = solve_gauss(es)
     original_oracle = {
         x: v for x, v in solve_recursive(es, {}).items() if x in bnd(es)
     }
-    minimised_gauss = solve_gauss(minimised)
+    minimised_gauss = solve_gauss(m.system)
     minimised_oracle = {
         x: v
-        for x, v in solve_recursive(minimised, {}).items()
-        if x in bnd(minimised)
+        for x, v in solve_recursive(m.system, {}).items()
+        if x in bnd(m.system)
     }
 
     mismatches = []
-    if not bisimilar(normalised, quotient):
+    if not bisimilar(m.graph, m.quotient):
         mismatches.append(
-            "minimise: quotient is not bisimilar to the normalised graph"
+            "minimise: quotient is not bisimilar to the structure graph"
         )
     for x in (eq.lhs for eq in es):
         image = variable_map[x]
@@ -64,8 +83,6 @@ def verify_system(es: EquationSystem) -> VerifyResult:
     return VerifyResult(
         ok=not mismatches,
         variable_map=variable_map,
-        original_solution=original_gauss,
-        minimised_solution=minimised_gauss,
-        minimised_system=minimised,
+        minimised_system=m.system,
         mismatches=mismatches,
     )

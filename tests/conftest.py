@@ -17,3 +17,13 @@ def by_label(g: bm.StructureGraph) -> dict[str, str]:
 
 def edges_by_label(g: bm.StructureGraph) -> set[tuple[str, str]]:
     return {(g.label(a), g.label(b)) for a, b in g.edges}
+
+
+def relabelled(g: bm.StructureGraph) -> bm.StructureGraph:
+    """``g`` with every node renamed by its label."""
+    return bm.StructureGraph(
+        g.label(g.init),
+        {g.label(u): d for u, d in g.deco.items()},
+        frozenset(edges_by_label(g)),
+        {g.label(u): g.label(u) for u in g.deco},
+    )

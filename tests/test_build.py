@@ -170,6 +170,19 @@ def test_normalise_requires_reduced_graph():
         bm.normalise_graph(g)
 
 
+def test_verify_finds_variables_by_rank_not_by_label():
+    # a variable named like a subterm of the other equation, in both orders
+    MU, NU = bm.Fixpoint.MU, bm.Fixpoint.NU
+    y = bm.Equation(NU, "Y", Or(Var("Y && Y"), And(Var("Y"), Var("Y"))))
+    z = bm.Equation(MU, "Y && Y", Var("Y && Y"))
+    for es in (bm.system(y, z), bm.system(z, y)):
+        result = bm.verify_system(es)
+        assert result.ok, result.mismatches
+        minimised = bm.solve_gauss(result.minimised_system)
+        original = bm.solve_gauss(es)
+        assert {x: minimised[result.variable_map[x]] for x in original} == original
+
+
 def test_normalise_unranked_cycle_rejected():
     a = Decoration(Op.AND)
     b = Decoration(Op.OR)
@@ -182,7 +195,8 @@ def test_normalise_unranked_cycle_rejected():
 
 def test_normalise_pipeline_preserves_solutions():
     es = bm.fixture("example-structure-graph")
-    result = bm.normalise_pipeline(es)
+    g = bm.normalise_graph(bm.reduce_graph(bm.build_graph(es)))
+    _, system, names = bm.translate(g)
 
     def variables_only(f, op):
         if isinstance(f, Var):
@@ -195,16 +209,17 @@ def test_normalise_pipeline_preserves_solutions():
 
     # every right-hand side is a variable or a pure conjunction/disjunction
     # of variables (standard recursive form in binary syntax)
-    for eq in result.system:
+    for eq in system:
         assert variables_only(eq.rhs, bm.And) or variables_only(eq.rhs, bm.Or)
     original = bm.solve_gauss(es)
-    new = bm.solve_gauss(result.system)
+    new = bm.solve_gauss(system)
+    labels = by_label(g)
     for x in bm.bnd(es):
-        assert new[result.variable_map[x]] == original[x]
+        assert new[names[labels[x]]] == original[x]
 
 
 def test_bisimilar_in_context():
     es = bm.parse_bes("mu X = X; nu Y = Y;")
     x, y = Var("X"), Var("Y")
-    assert bm.bisimilar_in_context(es, x, es, x)
-    assert not bm.bisimilar_in_context(es, x, es, y)  # ranks 1 vs 2
+    assert bm.bisimilar(bm.build_graph(es, x), bm.build_graph(es, x))
+    assert not bm.bisimilar(bm.build_graph(es, x), bm.build_graph(es, y))  # ranks 1 vs 2

@@ -177,6 +177,29 @@ def test_verify_fixtures(capsys):
         assert out.startswith("PASS")
 
 
+def test_verify_checks_the_system_minimize_prints(tmp_path, capsys):
+    # verify-10-24 of the verify-small benchmark workload (seed 110); its
+    # normalised graph minimises to 21 equations, its structure graph to 10
+    path = tmp_path / "verify-10-24.bes"
+    path.write_text(
+        "mu X0 = X6;\n"
+        "nu X1 = X5 || X0 || (X0 && X1);\n"
+        "nu X2 = X5 || X8 || X0;\n"
+        "nu X3 = (X6 || X9) && X1;\n"
+        "mu X4 = X8 || X2 || (X7 && X8);\n"
+        "nu X5 = (X4 && X9) || true;\n"
+        "mu X6 = (false && X3) || (X7 && X9);\n"
+        "nu X7 = (X2 && X5) || X6;\n"
+        "nu X8 = (true || X6) && X3;\n"
+        "mu X9 = X5 && X8 && (X2 || X4);\n"
+    )
+    assert run(capsys, "verify", str(path)) == (0, "PASS: 10 variables verified\n", "")
+    code, out, _ = run(capsys, "minimize", "--emit", "bes", str(path))
+    printed = bm.parse_bes(out.partition("---\n")[0])
+    assert code == 0 and len(printed.equations) == 10
+    assert bm.verify_system(bm.parse_bes(path.read_text())).minimised_system == printed
+
+
 def test_verify_empty_system_exit_2(tmp_path, capsys):
     path = tmp_path / "empty.bes"
     path.write_text("")
