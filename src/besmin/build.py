@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .errors import BesError, OpenSystemError, UnrankedCycleError
-from .graph import Decoration, Op, StructureGraph
+from .graph import Decoration, Op, StructureGraph, _unranked_order
 from .syntax import (
     And,
     AndSet,
@@ -131,6 +131,14 @@ def _leaves(f: Formula, key_of) -> list:
     return list(keys)
 
 
+def _require_bound(es: EquationSystem, t: Formula) -> None:
+    unbound = occ(t) - bnd(es)
+    if unbound:
+        raise OpenSystemError(
+            f"formula mentions unbound variables: {', '.join(sorted(unbound))}"
+        )
+
+
 def build_graph(es: EquationSystem, t: Optional[Formula] = None) -> StructureGraph:
     """Structure graph of formula ``t`` in the context of a closed system.
 
@@ -148,11 +156,7 @@ def build_graph(es: EquationSystem, t: Optional[Formula] = None) -> StructureGra
             )
     if not is_general_syntax(t):
         raise BesError("general-syntax formula required")
-    if not occ(t) <= bnd(es):
-        raise OpenSystemError(
-            f"formula mentions unbound variables: "
-            f"{', '.join(sorted(occ(t) - bnd(es)))}"
-        )
+    _require_bound(es, t)
     return _graph(es, t, _leaves)
 
 
@@ -165,11 +169,7 @@ def build_srf_graph(es: EquationSystem, t: Optional[Formula] = None) -> Structur
         t = Var(least_variable(es))
     if not isinstance(t, (Var, AndSet, OrSet)):
         raise BesError("formula is not in SRF syntax")
-    if not occ(t) <= bnd(es):
-        raise OpenSystemError(
-            f"formula mentions unbound variables: "
-            f"{', '.join(sorted(occ(t) - bnd(es)))}"
-        )
+    _require_bound(es, t)
     return _graph(es, t, lambda f, key_of: sorted(occ(f)))
 
 
@@ -207,39 +207,21 @@ def normalise_graph(g: StructureGraph) -> StructureGraph:
                 f"{g.label(u)!r} is a constant"
             )
     succ = g.successors()
-    computed: dict[str, int] = {}
-    in_progress: list[str] = []
-
-    def node_rank(u: str) -> int:
-        d = g.deco[u]
-        if d.ranks:
-            return max(d.ranks)
-        if u in computed:
-            return computed[u]
-        if u in in_progress:
-            cycle = in_progress[in_progress.index(u):]
-            raise UnrankedCycleError(
-                "cycle of unranked nodes: "
-                + " -> ".join(g.label(v) for v in cycle)
-            )
+    order, cycle = _unranked_order(g, succ)
+    if cycle:
+        raise UnrankedCycleError(
+            "cycle of unranked nodes: " + " -> ".join(g.label(v) for v in cycle)
+        )
+    rank = {u: max(d.ranks) for u, d in g.deco.items() if d.ranks}
+    for u in order:  # each unranked node after its unranked successors
         if not succ[u]:
             raise BesError(
                 f"unranked node {g.label(u)!r} has no successors to "
                 f"inherit a rank from"
             )
-        in_progress.append(u)
-        try:
-            result = max(node_rank(v) for v in sorted(succ[u]))
-        finally:
-            in_progress.pop()
-        computed[u] = result
-        return result
-
-    deco = {}
-    for u, d in g.deco.items():
-        if d.ranks:
-            deco[u] = d
-        else:
-            deco[u] = Decoration(d.op, frozenset({node_rank(u)}))
+        rank[u] = max(rank[v] for v in succ[u])
+    deco = {
+        u: d if d.ranks else Decoration(d.op, frozenset({rank[u]}))
+        for u, d in g.deco.items()
+    }
     return StructureGraph(g.init, deco, g.edges, dict(g.labels))
-

@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable
 
 from .errors import BesError, NotBessyError
 from .syntax import (
@@ -95,8 +95,41 @@ def _node_key(g: StructureGraph) -> Callable[[str], tuple]:
 # BESsy validation
 
 
-def is_bessy(g: StructureGraph) -> list[str]:
-    """Check the five translatability constraints; empty list means BESsy."""
+def _unranked_order(
+    g: StructureGraph, succ: dict[str, set[str]]
+) -> tuple[list[str], list[str]]:
+    """The unranked nodes, each after its unranked successors, and a cycle.
+
+    An iterative depth-first search over the unranked nodes, roots and
+    successors in sorted order.  The cycle is the path of the first cycle
+    of unranked nodes the search meets, or empty if there is none; the
+    order then stops where the search did.
+    """
+    done: dict[str, None] = {}  # the order so far, as an ordered set
+    for root in sorted(u for u, d in g.deco.items() if not d.ranks):
+        if root in done:
+            continue
+        path = {root: None}  # the search path, as an ordered set
+        todo = [iter(sorted(succ[root]))]
+        while todo:
+            v = next(
+                (v for v in todo[-1] if not g.deco[v].ranks and v not in done), None
+            )
+            if v is None:
+                todo.pop()
+                done[path.popitem()[0]] = None
+            elif v in path:
+                cycle = list(path)
+                return list(done), cycle[cycle.index(v):]
+            else:
+                path[v] = None
+                todo.append(iter(sorted(succ[v])))
+    return list(done), []
+
+
+def _validate(g: StructureGraph) -> tuple[list[str], dict[str, set[str]], list[str]]:
+    """The violations of the five constraints, the successor map and the
+    order of ``_unranked_order``."""
     violations = []
     succ = g.successors()
     for u in g.nodes:
@@ -135,40 +168,24 @@ def is_bessy(g: StructureGraph) -> list[str]:
         if ranked_needed:
             violations.append("constraint 4: no node carries a rank")
     # constraint 5: the subgraph induced by unranked nodes must be acyclic
-    unranked = {u for u in g.deco if not g.deco[u].ranks}
-    state: dict[str, int] = {}
-
-    def has_cycle(u: str) -> Optional[str]:
-        state[u] = 1
-        for v in succ[u]:
-            if v not in unranked:
-                continue
-            if state.get(v) == 1:
-                return v
-            if v not in state and has_cycle(v):
-                return v
-        state[u] = 2
-        return None
-
-    for u in sorted(unranked):
-        if u not in state:
-            witness = has_cycle(u)
-            if witness:
-                violations.append(
-                    f"constraint 5: unranked cycle through node "
-                    f"{g.label(witness)!r}"
-                )
-    return violations
+    order, cycle = _unranked_order(g, succ)
+    if cycle:
+        violations.append(
+            f"constraint 5: unranked cycle through node {g.label(cycle[0])!r}"
+        )
+    return violations, succ, order
 
 
-def _require_bessy(g: StructureGraph) -> None:
-    violations = is_bessy(g)
-    if violations:
-        raise NotBessyError("; ".join(violations))
+def is_bessy(g: StructureGraph) -> list[str]:
+    """Check the five translatability constraints; empty list means BESsy."""
+    return _validate(g)[0]
 
 
 # ---------------------------------------------------------------------------
 # translation back into an equation system
+
+
+_CONNECTIVE = {Op.AND: And, Op.OR: Or}
 
 
 def _nest(op, terms: Iterable[Formula]) -> Formula:
@@ -179,34 +196,11 @@ def _nest(op, terms: Iterable[Formula]) -> Formula:
     return result
 
 
-def _term(g, u: str, succ, names) -> Formula:
-    d = g.deco[u]
-    if d.op is Op.AND and not d.ranks:
-        return _nest(And, (_term(g, v, succ, names) for v in succ[u]))
-    if d.op is Op.OR and not d.ranks:
-        return _nest(Or, (_term(g, v, succ, names) for v in succ[u]))
-    if d.op is Op.TOP:
-        return Const(True)
-    if d.op is Op.BOT:
-        return Const(False)
-    return Var(names[u])
-
-
-def _rhs(g, u: str, succ, names) -> Formula:
-    if not succ[u]:
-        raise BesError(f"node {g.label(u)!r} has no successor")
-    d = g.deco[u]
-    if d.op is Op.AND:
-        return _nest(And, (_term(g, v, succ, names) for v in succ[u]))
-    if d.op is Op.OR:
-        return _nest(Or, (_term(g, v, succ, names) for v in succ[u]))
-    (only,) = succ[u]
-    return _term(g, only, succ, names)
-
-
 def translate(g: StructureGraph) -> tuple[Formula, EquationSystem, dict[str, str]]:
     """Translate a BESsy graph; also returns the node-to-variable naming."""
-    _require_bessy(g)
+    violations, succ, order = _validate(g)
+    if violations:
+        raise NotBessyError("; ".join(violations))
     for u in g.deco:
         if len(g.deco[u].ranks) > 1:
             raise NotBessyError(
@@ -214,7 +208,6 @@ def translate(g: StructureGraph) -> tuple[Formula, EquationSystem, dict[str, str
                 f"{sorted(g.deco[u].ranks)}; graphs of closed systems have "
                 f"singleton rank sets"
             )
-    succ = g.successors()
     key = _node_key(g)
     ranked = sorted(
         (u for u in g.deco if g.deco[u].ranks),
@@ -222,12 +215,26 @@ def translate(g: StructureGraph) -> tuple[Formula, EquationSystem, dict[str, str
     )
     rest = sorted((u for u in g.deco if not g.deco[u].ranks), key=key)
     names = {u: f"X{i}" for i, u in enumerate(ranked + rest)}
+    # each node's term, built once: a ranked node is its variable, and an
+    # unranked ▲/▽ node nests the terms of its successors
+    terms: dict[str, Formula] = {u: Var(names[u]) for u in ranked}
+    for u in order:
+        op = g.deco[u].op
+        if op in _CONNECTIVE:
+            terms[u] = _nest(_CONNECTIVE[op], (terms[v] for v in succ[u]))
+        elif op in (Op.TOP, Op.BOT):
+            terms[u] = Const(op is Op.TOP)
+        else:
+            terms[u] = Var(names[u])
     equations = []
     for u in ranked:
         r = max(g.deco[u].ranks)
         sign = Fixpoint.MU if r % 2 == 1 else Fixpoint.NU
-        equations.append(Equation(sign, names[u], _rhs(g, u, succ, names)))
-    return _term(g, g.init, succ, names), EquationSystem(tuple(equations)), names
+        # by constraints 2 and 3, a node without ▲/▽ has one successor,
+        # which _nest returns as it is
+        rhs = _nest(_CONNECTIVE.get(g.deco[u].op), (terms[v] for v in succ[u]))
+        equations.append(Equation(sign, names[u], rhs))
+    return terms[g.init], EquationSystem(tuple(equations)), names
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +372,7 @@ def serialize_graph(g: StructureGraph) -> str:
 
 
 _NODE_RE = re.compile(
-    r"node (\S+) op=(and|or|top|bot|none) ranks=(\S+) "
+    r"node (\S+) op=(and|or|top|bot|none) ranks=(-|-?\d+(?:,-?\d+)*) "
     r'label="((?:[^"\\]|\\.)*)"$'
 )
 _EDGE_RE = re.compile(r"edge (\S+) (\S+)$")
@@ -398,7 +405,10 @@ def parse_graph(text: str) -> StructureGraph:
             edges.add((m.group(1), m.group(2)))
             continue
         raise BesError(f"unrecognised sgraph line: {line!r}")
-    return StructureGraph(init, deco, frozenset(edges), labels)
+    try:
+        return StructureGraph(init, deco, frozenset(edges), labels)
+    except ValueError as exc:  # an init or edge endpoint that is not a node
+        raise BesError(str(exc)) from None
 
 
 def to_dot(g: StructureGraph) -> str:

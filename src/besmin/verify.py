@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .build import build_graph
 from .graph import StructureGraph, bisimilar, minimize, translate
 from .solve import solve_gauss, solve_recursive
-from .syntax import EquationSystem, bnd
+from .syntax import EquationSystem
 
 
 @dataclass(frozen=True)
@@ -54,15 +54,9 @@ def verify_system(es: EquationSystem) -> VerifyResult:
     }
 
     original_gauss = solve_gauss(es)
-    original_oracle = {
-        x: v for x, v in solve_recursive(es, {}).items() if x in bnd(es)
-    }
+    original_oracle = solve_recursive(es, {})
     minimised_gauss = solve_gauss(m.system)
-    minimised_oracle = {
-        x: v
-        for x, v in solve_recursive(m.system, {}).items()
-        if x in bnd(m.system)
-    }
+    minimised_oracle = solve_recursive(m.system, {})
 
     mismatches = []
     if not bisimilar(m.graph, m.quotient):

@@ -189,7 +189,7 @@ def test_normalise_unranked_cycle_rejected():
     g = bm.StructureGraph(
         "a", {"a": a, "b": b}, frozenset({("a", "b"), ("b", "a")}), {"a": "a", "b": "b"}
     )
-    with pytest.raises(bm.UnrankedCycleError):
+    with pytest.raises(bm.UnrankedCycleError, match="cycle of unranked nodes: a -> b"):
         bm.normalise_graph(g)
 
 

@@ -239,6 +239,16 @@ def test_deep_input_probe(tmp_path, capsys):
         code, out, err = run(capsys, *command, str(chain))
         assert (code, err) == (0, ""), command
     assert "size: 6000" in run(capsys, "check", str(chain))[1]
+    # X && (Y || (X && ...)) nested 400 levels: one unranked node per level
+    term = "X"
+    for level in range(400):
+        term = f"X && ({term})" if level % 2 == 0 else f"Y || ({term})"
+    alternating = tmp_path / "alternating.bes"
+    alternating.write_text(f"mu X = {term}; nu Y = X && Y;")
+    for command in (("graph", "--normalise"), ("minimize", "--emit", "bes"), ("verify",)):
+        code, out, err = run(capsys, *command, str(alternating))
+        assert (code, err) == (0, ""), command
+    assert out == "PASS: 2 variables verified\n"
 
 
 # sha256 of stdout; every command exits 0

@@ -55,6 +55,29 @@ def test_is_bessy_violations():
         [("a", "b"), ("b", "a")],
     )
     assert any("constraint 5" in v for v in bm.is_bessy(g))
+    # r -> s -> c -> d -> c, all unranked, each also pointing to ranked x:
+    # one violation, through a node on the cycle (s only leads into it)
+    deco = {u: Decoration(Op.AND) for u in "rsc"}
+    deco.update(d=Decoration(Op.OR), x=Decoration(Op.NONE, R(0)))
+    edges = [("r", "s"), ("s", "c"), ("c", "d"), ("d", "c"), ("x", "x")]
+    g = _graph("r", deco, edges + [(u, "x") for u in "rscd"])
+    assert bm.is_bessy(g) == ["constraint 5: unranked cycle through node 'c'"]
+    with pytest.raises(bm.UnrankedCycleError, match="cycle of unranked nodes: c -> d$"):
+        bm.normalise_graph(g)
+
+
+def test_long_unranked_chain_is_bessy_and_normalises():
+    # 5,000 alternating unranked ▲/▽ nodes, each pointing to the next and to
+    # the ranked end node x
+    n = 5000
+    ids = [f"u{i:04d}" for i in range(n)]
+    deco = {u: Decoration(Op.AND if i % 2 else Op.OR) for i, u in enumerate(ids)}
+    deco["x"] = Decoration(Op.NONE, R(1))
+    edges = list(zip(ids, ids[1:] + ["x"])) + [(u, "x") for u in ids] + [("x", "x")]
+    g = _graph(ids[0], deco, edges)
+    assert bm.is_bessy(g) == []
+    normalised = bm.normalise_graph(bm.reduce_graph(g))
+    assert all(d.ranks == R(1) for d in normalised.deco.values())
 
 
 def test_translate_rejects_non_bessy_and_multi_rank():
@@ -206,6 +229,15 @@ def test_parse_graph_rejections():
         bm.parse_graph("sgraph v1\n")
     with pytest.raises(bm.BesError):
         bm.parse_graph('sgraph v1\ninit a\nnode a op=nope ranks=- label="a"\n')
+    node = 'sgraph v1\ninit a\nnode a op=or ranks={} label="a"\n'
+    for text in (
+        node.format("x"),
+        node.format("1,,2"),
+        node.format("1") + "edge a b\n",
+        node.format("1").replace("init a", "init b"),
+    ):
+        with pytest.raises(bm.BesError):
+            bm.parse_graph(text)
 
 
 def test_dot_output():
