@@ -33,7 +33,6 @@ from .graph import (
 from .parse import parse_bes, parse_formula
 from .solve import (
     eval_formula,
-    solve_formula,
     solve_gauss,
     solve_recursive,
 )
@@ -58,7 +57,6 @@ from .syntax import (
     least_variable,
     occ,
     print_bes,
-    rank,
     ranks,
     size,
     system,

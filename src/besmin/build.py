@@ -48,7 +48,7 @@ _CONSTANTS = {("true",): Decoration(Op.TOP), ("false",): Decoration(Op.BOT)}
 
 
 def _graph(es: EquationSystem, t: Formula, successors) -> StructureGraph:
-    """The closure of ``t`` and the bound variables, then ids by text.
+    """The closure of ``t`` and the bound variables, in id order.
 
     A node is keyed by a bound variable's name, or by a 1-tuple of the
     text of any other formula, so that ``Var("true")`` and the constant
@@ -67,7 +67,7 @@ def _graph(es: EquationSystem, t: Formula, successors) -> StructureGraph:
         cls = rhs_map[x].__class__
         key = (cls if cls in _OPS else None, r)
         if key not in shared:
-            shared[key] = Decoration(_OPS.get(cls, Op.NONE), frozenset({r}))
+            shared[key] = Decoration(_OPS.get(cls, Op.NONE), r)
         var_deco[x] = shared[key]
     terms: dict = {}
 
@@ -103,15 +103,16 @@ def _graph(es: EquationSystem, t: Formula, successors) -> StructureGraph:
     order = first + sorted(
         (i for i in range(len(nodes)) if i not in first), key=texts.__getitem__
     )
-    width = len(str(max(len(order) - 1, 0)))
-    ids = [""] * len(order)
+    place = [0] * len(order)  # closure index -> node position
     for j, i in enumerate(order):
-        ids[i] = f"n{j:0{width}d}"
+        place[i] = j
+    width = len(str(max(len(order) - 1, 0)))
     return StructureGraph(
-        ids[position[init]],
-        {ids[i]: nodes[i][1] for i in order},
-        frozenset((ids[i], ids[position[k]]) for i, node in enumerate(nodes) for k in node[2]),
-        {ids[i]: texts[i] for i in order},
+        place[position[init]],
+        [nodes[i][1] for i in order],
+        [sorted([place[position[k]] for k in nodes[i][2]]) for i in order],
+        [texts[i] for i in order],
+        [f"n{j:0{width}d}" for j in range(len(order))],
     )
 
 
@@ -180,18 +181,12 @@ def build_srf_graph(es: EquationSystem, t: Optional[Formula] = None) -> Structur
 def reduce_graph(g: StructureGraph) -> StructureGraph:
     """Replace constant nodes by self-looped ranked nodes (rank 0 for true,
     rank 1 for false); everything else is copied unchanged."""
-    deco = {}
-    edges = set(g.edges)
-    for u, d in g.deco.items():
-        if d.op is Op.TOP:
-            deco[u] = Decoration(Op.NONE, frozenset({0}))
-            edges.add((u, u))
-        elif d.op is Op.BOT:
-            deco[u] = Decoration(Op.NONE, frozenset({1}))
-            edges.add((u, u))
-        else:
-            deco[u] = d
-    return StructureGraph(g.init, deco, frozenset(edges), dict(g.labels))
+    deco, succ = list(g.deco), list(g.succ)
+    for u, d in enumerate(g.deco):
+        if d.op in (Op.TOP, Op.BOT):
+            deco[u] = Decoration(Op.NONE, 0 if d.op is Op.TOP else 1)
+            succ[u] = sorted({*succ[u], u})
+    return StructureGraph(g.init, deco, succ, g.labels, g.ids)
 
 
 def normalise_graph(g: StructureGraph) -> StructureGraph:
@@ -200,28 +195,23 @@ def normalise_graph(g: StructureGraph) -> StructureGraph:
     Requires constants to have been eliminated first (``reduce_graph``);
     a cycle consisting entirely of unranked nodes is an error.
     """
-    for u, d in g.deco.items():
+    for d, label in zip(g.deco, g.labels):
         if d.op in (Op.TOP, Op.BOT):
             raise BesError(
                 f"normalisation requires a reduced graph; node "
-                f"{g.label(u)!r} is a constant"
+                f"{label!r} is a constant"
             )
-    succ = g.successors()
-    order, cycle = _unranked_order(g, succ)
+    order, cycle = _unranked_order(g)
     if cycle:
         raise UnrankedCycleError(
-            "cycle of unranked nodes: " + " -> ".join(g.label(v) for v in cycle)
+            "cycle of unranked nodes: " + " -> ".join(g.labels[v] for v in cycle)
         )
-    rank = {u: max(d.ranks) for u, d in g.deco.items() if d.ranks}
+    deco = list(g.deco)
     for u in order:  # each unranked node after its unranked successors
-        if not succ[u]:
+        if not g.succ[u]:
             raise BesError(
-                f"unranked node {g.label(u)!r} has no successors to "
+                f"unranked node {g.labels[u]!r} has no successors to "
                 f"inherit a rank from"
             )
-        rank[u] = max(rank[v] for v in succ[u])
-    deco = {
-        u: d if d.ranks else Decoration(d.op, frozenset({rank[u]}))
-        for u, d in g.deco.items()
-    }
-    return StructureGraph(g.init, deco, g.edges, dict(g.labels))
+        deco[u] = Decoration(deco[u].op, max(deco[v].rank for v in g.succ[u]))
+    return StructureGraph(g.init, deco, g.succ, g.labels, g.ids)

@@ -115,8 +115,8 @@ def _cmd_minimize(args) -> int:
     print("---")
     print(f"equations: {len(m.system.equations)}")
     members: dict[str, list[str]] = {}
-    for u, block in m.block_of.items():
-        members.setdefault(m.names[block], []).append(m.graph.label(u))
+    for label, block in zip(m.graph.labels, m.block_of):
+        members.setdefault(m.names[block], []).append(label)
     for eq in m.system:
         print(f"{eq.lhs} <= {{{', '.join(sorted(members[eq.lhs]))}}}")
     return EXIT_OK

@@ -1,9 +1,11 @@
 """Structure graphs: data model, validation, bisimulation and translation.
 
-Nodes are opaque string ids carrying a human-readable term label and a
-decoration (an operator symbol plus a set of ranks).  Graphs translatable
-back into equation systems satisfy five structural constraints; see
-``is_bessy``.
+A structure graph is a table of nodes: node ``u`` is position ``u`` of the
+columns ``deco`` (an operator symbol and at most one rank), ``succ`` (its
+successor positions, sorted), ``labels`` (a human-readable term) and
+``ids`` (its name in the text formats), and the nodes are stored in
+increasing id order.  Graphs translatable back into equation systems
+satisfy five structural constraints; see ``is_bessy``.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Optional
 
 from .errors import BesError, NotBessyError
 from .syntax import (
@@ -47,35 +49,31 @@ _OP_SYMBOL = {Op.AND: "▲", Op.OR: "▽", Op.TOP: "⊤", Op.BOT: "⊥", Op.NONE
 @dataclass(frozen=True)
 class Decoration:
     op: Op = Op.NONE
-    ranks: frozenset[int] = frozenset()
+    rank: Optional[int] = None
 
 
 @dataclass(frozen=True)
 class StructureGraph:
-    init: str
-    deco: dict[str, Decoration]  # keys are the node set
-    edges: frozenset[tuple[str, str]]
-    labels: dict[str, str]
+    init: int
+    deco: list[Decoration]
+    succ: list[list[int]]  # sorted successor positions
+    labels: list[str]
+    ids: list[str]  # increasing
 
     def __post_init__(self):
-        if self.init not in self.deco:
-            raise ValueError(f"initial node {self.init!r} is not a node")
-        for a, b in self.edges:
-            if a not in self.deco or b not in self.deco:
-                raise ValueError(f"edge ({a!r}, {b!r}) has a dangling endpoint")
+        n = len(self.ids)
+        if not len(self.deco) == len(self.succ) == len(self.labels) == n:
+            raise ValueError("the columns deco, succ, labels and ids differ in length")
+        if any(a >= b for a, b in zip(self.ids, self.ids[1:])):
+            raise ValueError("node ids are not unique and increasing")
+        if not 0 <= self.init < n:
+            raise ValueError(f"initial node {self.init} is not a node")
+        if any(v < 0 or v >= n for vs in self.succ for v in vs):
+            raise ValueError("a successor is not a node")
 
     @property
-    def nodes(self) -> tuple[str, ...]:
-        return tuple(sorted(self.deco))
-
-    def successors(self) -> dict[str, set[str]]:
-        succ: dict[str, set[str]] = {u: set() for u in self.deco}
-        for a, b in self.edges:
-            succ[a].add(b)
-        return succ
-
-    def label(self, u: str) -> str:
-        return self.labels.get(u, u)
+    def edges(self) -> list[tuple[int, int]]:
+        return [(u, v) for u, vs in enumerate(self.succ) for v in vs]
 
 
 def _label_key(label: str):
@@ -87,33 +85,31 @@ def _label_key(label: str):
     return (1, 0, label)
 
 
-def _node_key(g: StructureGraph) -> Callable[[str], tuple]:
-    return lambda u: (_label_key(g.label(u)), u)
+def _node_key(g: StructureGraph) -> Callable[[int], tuple]:
+    return lambda u: (_label_key(g.labels[u]), u)
 
 
 # ---------------------------------------------------------------------------
 # BESsy validation
 
 
-def _unranked_order(
-    g: StructureGraph, succ: dict[str, set[str]]
-) -> tuple[list[str], list[str]]:
+def _unranked_order(g: StructureGraph) -> tuple[list[int], list[int]]:
     """The unranked nodes, each after its unranked successors, and a cycle.
 
     An iterative depth-first search over the unranked nodes, roots and
-    successors in sorted order.  The cycle is the path of the first cycle
-    of unranked nodes the search meets, or empty if there is none; the
-    order then stops where the search did.
+    successors in order.  The cycle is the path of the first cycle of
+    unranked nodes the search meets, or empty if there is none; the order
+    then stops where the search did.
     """
-    done: dict[str, None] = {}  # the order so far, as an ordered set
-    for root in sorted(u for u, d in g.deco.items() if not d.ranks):
-        if root in done:
+    done: dict[int, None] = {}  # the order so far, as an ordered set
+    for root, d in enumerate(g.deco):
+        if d.rank is not None or root in done:
             continue
         path = {root: None}  # the search path, as an ordered set
-        todo = [iter(sorted(succ[root]))]
+        todo = [iter(g.succ[root])]
         while todo:
             v = next(
-                (v for v in todo[-1] if not g.deco[v].ranks and v not in done), None
+                (v for v in todo[-1] if g.deco[v].rank is None and v not in done), None
             )
             if v is None:
                 todo.pop()
@@ -123,36 +119,34 @@ def _unranked_order(
                 return list(done), cycle[cycle.index(v):]
             else:
                 path[v] = None
-                todo.append(iter(sorted(succ[v])))
+                todo.append(iter(g.succ[v]))
     return list(done), []
 
 
-def _validate(g: StructureGraph) -> tuple[list[str], dict[str, set[str]], list[str]]:
-    """The violations of the five constraints, the successor map and the
-    order of ``_unranked_order``."""
+def _validate(g: StructureGraph) -> tuple[list[str], list[int]]:
+    """The violations of the five constraints and the order of
+    ``_unranked_order``."""
     violations = []
-    succ = g.successors()
-    for u in g.nodes:
-        d = g.deco[u]
-        if d.op in (Op.TOP, Op.BOT) and succ[u]:
+    for d, vs, label in zip(g.deco, g.succ, g.labels):
+        if d.op in (Op.TOP, Op.BOT) and vs:
             violations.append(
-                f"constraint 1: constant node {g.label(u)!r} has a successor"
+                f"constraint 1: constant node {label!r} has a successor"
             )
-        decorated = d.op in (Op.AND, Op.OR) or bool(d.ranks)
-        if decorated and not succ[u]:
+        decorated = d.op in (Op.AND, Op.OR) or d.rank is not None
+        if decorated and not vs:
             violations.append(
-                f"constraint 2: decorated node {g.label(u)!r} has no successor"
+                f"constraint 2: decorated node {label!r} has no successor"
             )
-        if not decorated and succ[u]:
+        if not decorated and vs:
             violations.append(
-                f"constraint 2: undecorated node {g.label(u)!r} has a successor"
+                f"constraint 2: undecorated node {label!r} has a successor"
             )
-        if len(succ[u]) > 1 and d.op not in (Op.AND, Op.OR):
+        if len(vs) > 1 and d.op not in (Op.AND, Op.OR):
             violations.append(
-                f"constraint 3: node {g.label(u)!r} has multiple successors "
+                f"constraint 3: node {label!r} has multiple successors "
                 f"but no operator symbol"
             )
-    all_ranks = sorted({r for d in g.deco.values() for r in d.ranks})
+    all_ranks = sorted({d.rank for d in g.deco if d.rank is not None})
     if all_ranks:
         if all_ranks[0] not in (0, 1):
             violations.append(
@@ -163,17 +157,15 @@ def _validate(g: StructureGraph) -> tuple[list[str], dict[str, set[str]], list[s
             violations.append(
                 f"constraint 4: ranks {all_ranks} do not form a closed interval"
             )
-    else:
-        ranked_needed = bool(g.edges)
-        if ranked_needed:
-            violations.append("constraint 4: no node carries a rank")
+    elif any(g.succ):
+        violations.append("constraint 4: no node carries a rank")
     # constraint 5: the subgraph induced by unranked nodes must be acyclic
-    order, cycle = _unranked_order(g, succ)
+    order, cycle = _unranked_order(g)
     if cycle:
         violations.append(
-            f"constraint 5: unranked cycle through node {g.label(cycle[0])!r}"
+            f"constraint 5: unranked cycle through node {g.labels[cycle[0]]!r}"
         )
-    return violations, succ, order
+    return violations, order
 
 
 def is_bessy(g: StructureGraph) -> list[str]:
@@ -189,50 +181,46 @@ _CONNECTIVE = {Op.AND: And, Op.OR: Or}
 
 
 def _nest(op, terms: Iterable[Formula]) -> Formula:
-    ordered = sorted(set(terms), key=formula_key)
+    # the operands are variables, constants and terms over them, so their
+    # canonical texts tell them apart without hashing the formulas
+    unique = {formula_key(t): t for t in terms}
+    ordered = [unique[k] for k in sorted(unique)]
     result = ordered[-1]
     for t in reversed(ordered[:-1]):
         result = op(t, result)
     return result
 
 
-def translate(g: StructureGraph) -> tuple[Formula, EquationSystem, dict[str, str]]:
-    """Translate a BESsy graph; also returns the node-to-variable naming."""
-    violations, succ, order = _validate(g)
+def translate(g: StructureGraph) -> tuple[Formula, EquationSystem, list[str]]:
+    """Translate a BESsy graph; also returns each node's variable name."""
+    violations, order = _validate(g)
     if violations:
         raise NotBessyError("; ".join(violations))
-    for u in g.deco:
-        if len(g.deco[u].ranks) > 1:
-            raise NotBessyError(
-                f"node {g.label(u)!r} carries multiple ranks "
-                f"{sorted(g.deco[u].ranks)}; graphs of closed systems have "
-                f"singleton rank sets"
-            )
     key = _node_key(g)
     ranked = sorted(
-        (u for u in g.deco if g.deco[u].ranks),
-        key=lambda u: (max(g.deco[u].ranks), key(u)),
+        (u for u, d in enumerate(g.deco) if d.rank is not None),
+        key=lambda u: (g.deco[u].rank, key(u)),
     )
-    rest = sorted((u for u in g.deco if not g.deco[u].ranks), key=key)
-    names = {u: f"X{i}" for i, u in enumerate(ranked + rest)}
-    # each node's term, built once: a ranked node is its variable, and an
-    # unranked ▲/▽ node nests the terms of its successors
-    terms: dict[str, Formula] = {u: Var(names[u]) for u in ranked}
+    rest = sorted((u for u, d in enumerate(g.deco) if d.rank is None), key=key)
+    names = [""] * len(g.ids)
+    for i, u in enumerate(ranked + rest):
+        names[u] = f"X{i}"
+    # each node's term, built once: an unranked ▲/▽ node nests the terms of
+    # its successors, a constant is itself and any other node its variable
+    terms: list[Formula] = [Var(x) for x in names]
     for u in order:
         op = g.deco[u].op
         if op in _CONNECTIVE:
-            terms[u] = _nest(_CONNECTIVE[op], (terms[v] for v in succ[u]))
+            terms[u] = _nest(_CONNECTIVE[op], (terms[v] for v in g.succ[u]))
         elif op in (Op.TOP, Op.BOT):
             terms[u] = Const(op is Op.TOP)
-        else:
-            terms[u] = Var(names[u])
     equations = []
     for u in ranked:
-        r = max(g.deco[u].ranks)
-        sign = Fixpoint.MU if r % 2 == 1 else Fixpoint.NU
+        d = g.deco[u]
+        sign = Fixpoint.MU if d.rank % 2 == 1 else Fixpoint.NU
         # by constraints 2 and 3, a node without ▲/▽ has one successor,
         # which _nest returns as it is
-        rhs = _nest(_CONNECTIVE.get(g.deco[u].op), (terms[v] for v in succ[u]))
+        rhs = _nest(_CONNECTIVE.get(d.op), (terms[v] for v in g.succ[u]))
         equations.append(Equation(sign, names[u], rhs))
     return terms[g.init], EquationSystem(tuple(equations)), names
 
@@ -262,58 +250,45 @@ def _refine(succs: list[list[int]], keys: list) -> list[int]:
             return block
 
 
-def _positions(nodes: list[str], g: StructureGraph, offset: int = 0) -> list[list[int]]:
-    """Successor positions of ``nodes``, each node at its index plus ``offset``."""
-    position = {u: i for i, u in enumerate(nodes, offset)}
-    succs: list[list[int]] = [[] for _ in nodes]
-    for a, b in g.edges:
-        succs[position[a] - offset].append(position[b])
-    return succs
-
-
-def minimize(g: StructureGraph) -> tuple[StructureGraph, dict[str, str]]:
+def minimize(g: StructureGraph) -> tuple[StructureGraph, list[int]]:
     """Quotient under the coarsest decoration-respecting bisimulation.
 
-    Returns the quotient graph and the node-to-block mapping.  Refinement
-    runs over the nodes in label order, so each block's first member
-    carries the block's least label and block ``b`` is named ``b{b}``.
+    Returns the quotient graph and ``block_of``, the block position of each
+    node.  Blocks are numbered by their first member in label order, so
+    each block carries its least label, and block ``b`` is named ``b{b}``.
     """
-    nodes = sorted(g.deco, key=_node_key(g))
-    decos = [g.deco[u] for u in nodes]
-    succs = _positions(nodes, g)
-    block = _refine(succs, decos)
-    first: list[int] = []  # the first member of each block
-    for i, b in enumerate(block):
-        if b == len(first):
-            first.append(i)
+    refined = _refine(g.succ, g.deco)
+    number = [-1] * len(g.ids)  # refined block -> block position
+    first: list[int] = []  # the first member of each block, in label order
+    for u in sorted(range(len(g.ids)), key=_node_key(g)):
+        if number[refined[u]] < 0:
+            number[refined[u]] = len(first)
+            first.append(u)
+    block_of = [number[b] for b in refined]
+    targets = [{block_of[v] for v in g.succ[u]} for u in first]
     width = len(str(max(len(first) - 1, 0)))
-    names = [f"b{b:0{width}d}" for b in range(len(first))]
-    mapping = {u: names[b] for u, b in zip(nodes, block)}
-    pairs = {(block[i], block[j]) for i, vs in enumerate(succs) for j in vs}
     quotient = StructureGraph(
-        mapping[g.init],
-        {names[b]: decos[i] for b, i in enumerate(first)},
-        frozenset((names[a], names[b]) for a, b in pairs),
-        {names[b]: g.label(nodes[i]) for b, i in enumerate(first)},
+        block_of[g.init],
+        [g.deco[u] for u in first],
+        [sorted(vs) for vs in targets],
+        [g.labels[u] for u in first],
+        [f"b{b:0{width}d}" for b in range(len(first))],
     )
     # the mapping is a functional bisimulation: it keeps every node's
     # decoration and maps its successors onto its block's successors
-    succ_q: list[set[int]] = [set() for _ in first]
-    for a, b in pairs:
-        succ_q[a].add(b)
     assert all(
-        decos[i] == decos[first[b]] and {block[j] for j in vs} == succ_q[b]
-        for i, (b, vs) in enumerate(zip(block, succs))
+        d == g.deco[first[b]] and {block_of[v] for v in vs} == targets[b]
+        for d, vs, b in zip(g.deco, g.succ, block_of)
     ), "the block mapping must be a functional bisimulation"
-    return quotient, mapping
+    return quotient, block_of
 
 
 def bisimilar(g: StructureGraph, h: StructureGraph) -> bool:
     """Whether the initial nodes of two graphs are bisimilar."""
-    g_nodes, h_nodes = list(g.deco), list(h.deco)
-    succs = _positions(g_nodes, g) + _positions(h_nodes, h, len(g_nodes))
-    block = _refine(succs, [*g.deco.values(), *h.deco.values()])
-    return block[g_nodes.index(g.init)] == block[len(g_nodes) + h_nodes.index(h.init)]
+    n = len(g.ids)
+    succs = g.succ + [[v + n for v in vs] for vs in h.succ]
+    block = _refine(succs, g.deco + h.deco)
+    return block[g.init] == block[n + h.init]
 
 
 # ---------------------------------------------------------------------------
@@ -323,8 +298,9 @@ def bisimilar(g: StructureGraph, h: StructureGraph) -> bool:
 def to_dependency_graph(es: EquationSystem) -> StructureGraph:
     """The dependency graph of a closed SRF system, as a structure graph.
 
-    One node per variable, labelled by it and decorated with its right-hand
-    side's connective and its rank; the initial node is the first variable.
+    One node per variable, in name order, labelled by it and decorated with
+    its right-hand side's connective and its rank; the initial node is the
+    first variable.
     """
     if not es.equations:
         raise BesError("dependency graph of an empty system is undefined")
@@ -333,17 +309,13 @@ def to_dependency_graph(es: EquationSystem) -> StructureGraph:
     if not is_closed(es):
         raise BesError("dependency graphs are defined for closed systems only")
     rank = ranks(es)
-    deco = {}
-    for eq in es:
-        if isinstance(eq.rhs, AndSet):
-            op = Op.AND
-        elif isinstance(eq.rhs, OrSet):
-            op = Op.OR
-        else:
-            op = Op.NONE
-        deco[eq.lhs] = Decoration(op, frozenset({rank[eq.lhs]}))
-    edges = frozenset((eq.lhs, y) for eq in es for y in occ(eq.rhs))
-    return StructureGraph(es.equations[0].lhs, deco, edges, {x: x for x in deco})
+    rhs = {eq.lhs: eq.rhs for eq in es}
+    names = sorted(rhs)
+    position = {x: i for i, x in enumerate(names)}
+    connective = {AndSet: Op.AND, OrSet: Op.OR}
+    deco = [Decoration(connective.get(rhs[x].__class__, Op.NONE), rank[x]) for x in names]
+    succ = [sorted(position[y] for y in occ(rhs[x])) for x in names]
+    return StructureGraph(position[es.equations[0].lhs], deco, succ, names, names)
 
 
 # ---------------------------------------------------------------------------
@@ -359,20 +331,19 @@ def _unquote(quoted: str) -> str:
 
 
 def serialize_graph(g: StructureGraph) -> str:
-    lines = ["sgraph v1", f"init {g.init}"]
-    for u in sorted(g.deco):
-        d = g.deco[u]
-        ranks = ",".join(str(r) for r in sorted(d.ranks)) if d.ranks else "-"
+    lines = ["sgraph v1", f"init {g.ids[g.init]}"]
+    for u, d in enumerate(g.deco):
+        rank = "-" if d.rank is None else d.rank
         lines.append(
-            f"node {u} op={d.op.value} ranks={ranks} label={_quote(g.label(u))}"
+            f"node {g.ids[u]} op={d.op.value} ranks={rank} label={_quote(g.labels[u])}"
         )
-    for a, b in sorted(g.edges):
-        lines.append(f"edge {a} {b}")
+    for a, b in g.edges:
+        lines.append(f"edge {g.ids[a]} {g.ids[b]}")
     return "".join(line + "\n" for line in lines)
 
 
 _NODE_RE = re.compile(
-    r"node (\S+) op=(and|or|top|bot|none) ranks=(-|-?\d+(?:,-?\d+)*) "
+    r"node (\S+) op=(and|or|top|bot|none) ranks=(-|-?\d+) "
     r'label="((?:[^"\\]|\\.)*)"$'
 )
 _EDGE_RE = re.compile(r"edge (\S+) (\S+)$")
@@ -385,45 +356,50 @@ def parse_graph(text: str) -> StructureGraph:
     if len(lines) < 2 or not lines[1].startswith("init "):
         raise BesError("missing init line")
     init = lines[1][len("init "):].strip()
-    deco: dict[str, Decoration] = {}
-    labels: dict[str, str] = {}
-    edges: set[tuple[str, str]] = set()
+    nodes: dict[str, tuple[Decoration, str]] = {}
+    edges: list[tuple[str, str]] = []
     for line in lines[2:]:
         m = _NODE_RE.match(line)
         if m:
-            node_id, op, ranks_text, label = m.groups()
-            ranks = (
-                frozenset()
-                if ranks_text == "-"
-                else frozenset(int(r) for r in ranks_text.split(","))
-            )
-            deco[node_id] = Decoration(Op(op), ranks)
-            labels[node_id] = _unquote(label)
+            node_id, op, rank, label = m.groups()
+            rank = None if rank == "-" else int(rank)
+            nodes[node_id] = (Decoration(Op(op), rank), _unquote(label))
             continue
         m = _EDGE_RE.match(line)
         if m:
-            edges.add((m.group(1), m.group(2)))
+            edges.append((m.group(1), m.group(2)))
             continue
         raise BesError(f"unrecognised sgraph line: {line!r}")
-    try:
-        return StructureGraph(init, deco, frozenset(edges), labels)
-    except ValueError as exc:  # an init or edge endpoint that is not a node
-        raise BesError(str(exc)) from None
+    ids = sorted(nodes)
+    position = {u: i for i, u in enumerate(ids)}
+    if init not in position:
+        raise BesError(f"initial node {init!r} is not a node")
+    succ: list[set[int]] = [set() for _ in ids]
+    for a, b in edges:
+        if a not in position or b not in position:
+            raise BesError(f"edge ({a!r}, {b!r}) has a dangling endpoint")
+        succ[position[a]].add(position[b])
+    return StructureGraph(
+        position[init],
+        [nodes[u][0] for u in ids],
+        [sorted(vs) for vs in succ],
+        [nodes[u][1] for u in ids],
+        ids,
+    )
 
 
 def to_dot(g: StructureGraph) -> str:
     lines = ["digraph sgraph {"]
-    for u in sorted(g.deco):
-        d = g.deco[u]
+    for u, d in enumerate(g.deco):
         symbol = _OP_SYMBOL[d.op]
-        ranks = " ".join(str(r) for r in sorted(d.ranks))
-        deco_text = " ".join(part for part in (symbol, ranks) if part)
-        label = g.label(u) + ("\\n" + deco_text if deco_text else "")
+        rank = "" if d.rank is None else str(d.rank)
+        deco_text = " ".join(part for part in (symbol, rank) if part)
+        label = g.labels[u] + ("\\n" + deco_text if deco_text else "")
         attrs = f"label={_quote(label)}"
         if u == g.init:
             attrs += ", peripheries=2"
-        lines.append(f"  {_quote(u)} [{attrs}];")
-    for a, b in sorted(g.edges):
-        lines.append(f"  {_quote(a)} -> {_quote(b)};")
+        lines.append(f"  {_quote(g.ids[u])} [{attrs}];")
+    for a, b in g.edges:
+        lines.append(f"  {_quote(g.ids[a])} -> {_quote(g.ids[b])};")
     lines.append("}")
     return "".join(line + "\n" for line in lines)

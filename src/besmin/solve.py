@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from .errors import BesError, OpenSystemError
+from .errors import BesError
 from .syntax import (
     And,
     AndSet,
@@ -22,8 +22,6 @@ from .syntax import (
     Or,
     OrSet,
     Var,
-    bnd,
-    occ,
     require_closed,
 )
 
@@ -144,13 +142,3 @@ def solve_gauss(es: EquationSystem) -> dict[str, bool]:
     for eq, f in zip(eqs, rhss):
         assignment[eq.lhs] = eval_formula(f, assignment)
     return assignment
-
-
-def solve_formula(es: EquationSystem, f: Formula) -> bool:
-    if not occ(f) <= bnd(es):
-        unbound = sorted(occ(f) - bnd(es))
-        raise OpenSystemError(
-            f"formula mentions variables not bound by the system: "
-            f"{', '.join(unbound)}"
-        )
-    return eval_formula(f, solve_gauss(es))

@@ -203,14 +203,6 @@ def require_closed(es: EquationSystem) -> None:
         raise OpenSystemError(f"system is open; unbound: {', '.join(sorted(unbound))}")
 
 
-def rank(es: EquationSystem, x: str) -> int:
-    """Rank of one bound variable; see ``ranks``."""
-    try:
-        return ranks(es)[x]
-    except KeyError:
-        raise BesError(f"variable {x} is not bound") from None
-
-
 def ranks(es: EquationSystem) -> dict[str, int]:
     """Rank of every bound variable, by the alternation-counting recursion.
 

@@ -21,7 +21,7 @@ from .syntax import (
     is_closed,
     is_srf,
     occ,
-    rank,
+    ranks,
 )
 
 
@@ -185,8 +185,8 @@ def swap_equations(es: EquationSystem, i: int, j: int) -> EquationSystem:
         raise IndexError("equation index out of range")
     if i == j:
         return es
-    ri = rank(es, eqs[i].lhs)
-    rj = rank(es, eqs[j].lhs)
+    rank = ranks(es)
+    ri, rj = rank[eqs[i].lhs], rank[eqs[j].lhs]
     if ri != rj:
         raise BesError(
             f"cannot swap equations of unequal rank: "

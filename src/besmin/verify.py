@@ -23,9 +23,9 @@ from .syntax import EquationSystem
 class PipelineResult:
     graph: StructureGraph  # the structure graph of the system
     quotient: StructureGraph
-    block_of: dict[str, str]  # graph node -> quotient node
+    block_of: list[int]  # graph node -> quotient node
     system: EquationSystem  # the translated quotient
-    names: dict[str, str]  # quotient node -> variable of ``system``
+    names: list[str]  # quotient node -> variable of ``system``
 
 
 def pipeline(es: EquationSystem) -> PipelineResult:
@@ -48,9 +48,9 @@ def verify_system(es: EquationSystem) -> VerifyResult:
     m = pipeline(es)
     # the ranked nodes of a built graph are exactly its bound variables
     variable_map = {
-        m.graph.label(u): m.names[m.block_of[u]]
-        for u, d in m.graph.deco.items()
-        if d.ranks
+        label: m.names[b]
+        for d, label, b in zip(m.graph.deco, m.graph.labels, m.block_of)
+        if d.rank is not None
     }
 
     original_gauss = solve_gauss(es)

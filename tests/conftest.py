@@ -10,20 +10,38 @@ def oracle(es: bm.EquationSystem) -> dict[str, bool]:
     return {x: v for x, v in bm.solve_recursive(es, {}).items() if x in bm.bnd(es)}
 
 
-def by_label(g: bm.StructureGraph) -> dict[str, str]:
-    """Map node labels to node ids (labels are unique in built graphs)."""
-    return {g.label(u): u for u in g.deco}
+def graph(init, deco, edges, labels=None) -> bm.StructureGraph:
+    """A graph from ``deco``, a dict of nodes keyed by id and listed in id
+    order, edges as id pairs and labels keyed by id (default: the ids)."""
+    ids = list(deco)
+    position = {u: i for i, u in enumerate(ids)}
+    succ = [set() for _ in ids]
+    for a, b in edges:
+        succ[position[a]].add(position[b])
+    labels = labels or {u: u for u in ids}
+    return bm.StructureGraph(
+        position[init],
+        list(deco.values()),
+        [sorted(vs) for vs in succ],
+        [labels[u] for u in ids],
+        ids,
+    )
+
+
+def by_label(g: bm.StructureGraph) -> dict[str, int]:
+    """Map node labels to nodes (labels are unique in built graphs)."""
+    return {label: u for u, label in enumerate(g.labels)}
 
 
 def edges_by_label(g: bm.StructureGraph) -> set[tuple[str, str]]:
-    return {(g.label(a), g.label(b)) for a, b in g.edges}
+    return {(g.labels[a], g.labels[b]) for a, b in g.edges}
 
 
 def relabelled(g: bm.StructureGraph) -> bm.StructureGraph:
     """``g`` with every node renamed by its label."""
-    return bm.StructureGraph(
-        g.label(g.init),
-        {g.label(u): d for u, d in g.deco.items()},
-        frozenset(edges_by_label(g)),
-        {g.label(u): g.label(u) for u in g.deco},
+    order = sorted(range(len(g.ids)), key=g.labels.__getitem__)
+    return graph(
+        g.labels[g.init],
+        {g.labels[u]: g.deco[u] for u in order},
+        edges_by_label(g),
     )

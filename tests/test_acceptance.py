@@ -73,11 +73,11 @@ def test_criterion_3_structure_graph_construction():
         labels = by_label(g)
         assert set(labels) == {"X", "Y", "Z", "W", "X && Y"}
         expected = {
-            "X": bm.Decoration(bm.Op.OR, frozenset({1})),
-            "Y": bm.Decoration(bm.Op.OR, frozenset({2})),
-            "Z": bm.Decoration(bm.Op.NONE, frozenset({3})),
-            "W": bm.Decoration(bm.Op.OR, frozenset({3})),
-            "X && Y": bm.Decoration(bm.Op.AND, frozenset()),
+            "X": bm.Decoration(bm.Op.OR, 1),
+            "Y": bm.Decoration(bm.Op.OR, 2),
+            "Z": bm.Decoration(bm.Op.NONE, 3),
+            "W": bm.Decoration(bm.Op.OR, 3),
+            "X && Y": bm.Decoration(bm.Op.AND, None),
         }
         assert {name: g.deco[u] for name, u in labels.items()} == expected
         assert edges_by_label(g) == {
@@ -99,9 +99,9 @@ def test_criterion_4_normalisation():
         g = bm.normalise_graph(bm.reduce_graph(bm.build_graph(es)))
         _, system, names = bm.translate(g)
         labels = by_label(g)
-        assert g.deco[labels["X && Y"]].ranks == frozenset({2})
-        assert len(g.nodes) == 5
-        assert all(d.ranks for d in g.deco.values())
+        assert g.deco[labels["X && Y"]].rank == 2
+        assert len(g.ids) == 5
+        assert all(d.rank is not None for d in g.deco)
         original = oracle(es)
         assert original == {"X": False, "Y": False, "Z": False, "W": False}
         translated = oracle(system)
@@ -115,9 +115,9 @@ def test_criterion_5_application_end_to_end(capsys):
         es = bm.fixture("paper-application")
         assert bm.size(es) == 26
         g = bm.build_graph(es)
-        assert len(g.nodes) == 12
+        assert len(g.ids) == 12
         quotient, _ = bm.minimize(g)
-        assert len(quotient.nodes) == 7
+        assert len(quotient.ids) == 7
         _, minimised, _ = bm.translate(quotient)
         assert len(minimised.equations) == 5
         assert bm.size(minimised) == 14

@@ -95,7 +95,7 @@ def test_graph_sgraph_output(capsys):
     code, out, _ = run(capsys, "graph", "--fixture", "example-structure-graph")
     assert code == 0
     graph = bm.parse_graph(out)
-    assert len(graph.nodes) == 5
+    assert len(graph.ids) == 5
     assert len(graph.edges) == 9
 
 
@@ -113,9 +113,9 @@ def test_graph_normalise(capsys):
     )
     assert code == 0
     graph = bm.parse_graph(out)
-    assert all(d.ranks for d in graph.deco.values())
-    conj = next(u for u in graph.deco if graph.label(u) == "X && Y")
-    assert graph.deco[conj].ranks == frozenset({2})
+    assert all(d.rank is not None for d in graph.deco)
+    conj = graph.labels.index("X && Y")
+    assert graph.deco[conj].rank == 2
 
 
 def test_graph_formula_flag(capsys):
@@ -129,7 +129,7 @@ def test_graph_formula_flag(capsys):
     )
     assert code == 0
     graph = bm.parse_graph(out)
-    assert graph.label(graph.init) == "Z || W"
+    assert graph.labels[graph.init] == "Z || W"
 
 
 def test_graph_srf_flag_on_non_srf_exit_2(capsys):
@@ -145,7 +145,7 @@ def test_minimize_graph(capsys):
         capsys, "minimize", "--fixture", "paper-application", "--emit", "graph"
     )
     assert code == 0
-    assert len(bm.parse_graph(out).nodes) == 7
+    assert len(bm.parse_graph(out).ids) == 7
 
 
 def test_minimize_bes_with_legend(capsys):
@@ -246,6 +246,14 @@ def test_deep_input_probe(tmp_path, capsys):
     alternating = tmp_path / "alternating.bes"
     alternating.write_text(f"mu X = {term}; nu Y = X && Y;")
     for command in (("graph", "--normalise"), ("minimize", "--emit", "bes"), ("verify",)):
+        code, out, err = run(capsys, *command, str(alternating))
+        assert (code, err) == (0, ""), command
+    assert out == "PASS: 2 variables verified\n"
+    # ... and 700 levels, where translate once hashed its operands recursively
+    for level in range(400, 700):
+        term = f"X && ({term})" if level % 2 == 0 else f"Y || ({term})"
+    alternating.write_text(f"mu X = {term}; nu Y = X && Y;")
+    for command in (("minimize", "--emit", "bes"), ("verify",)):
         code, out, err = run(capsys, *command, str(alternating))
         assert (code, err) == (0, ""), command
     assert out == "PASS: 2 variables verified\n"

@@ -5,21 +5,22 @@ import pytest
 import besmin as bm
 import besmin.graph
 from besmin import Decoration, Op, StructureGraph
-from conftest import by_label, edges_by_label, oracle, relabelled
-
-R = lambda *rs: frozenset(rs)
-
-
-def _graph(init, deco, edges, labels=None):
-    labels = labels or {u: u for u in deco}
-    return StructureGraph(init, deco, frozenset(edges), labels)
+from conftest import by_label, graph, relabelled
 
 
 def test_structure_graph_validation():
-    with pytest.raises(ValueError):
-        _graph("a", {"b": Decoration()}, [])
-    with pytest.raises(ValueError):
-        _graph("a", {"a": Decoration()}, [("a", "b")])
+    d = Decoration()
+    for init, deco, succ, labels, ids in (
+        (0, [d], [[]], ["a"], ["a", "b"]),  # columns of unequal length
+        (0, [d, d], [[], []], ["a", "b"], ["a", "a"]),  # duplicate ids
+        (0, [d, d], [[], []], ["a", "b"], ["b", "a"]),  # decreasing ids
+        (1, [d], [[]], ["a"], ["a"]),  # init out of range
+        (-1, [d], [[]], ["a"], ["a"]),
+        (0, [d], [[1]], ["a"], ["a"]),  # successor out of range
+        (0, [d], [[-1]], ["a"], ["a"]),
+    ):
+        with pytest.raises(ValueError):
+            StructureGraph(init, deco, succ, labels, ids)
 
 
 def test_is_bessy_clean_graph():
@@ -29,27 +30,27 @@ def test_is_bessy_clean_graph():
 
 def test_is_bessy_violations():
     top = Decoration(Op.TOP)
-    ranked = Decoration(Op.NONE, R(0))
+    ranked = Decoration(Op.NONE, 0)
     # constant with a successor (1) and decorated node without one (2)
-    g = _graph("a", {"a": top, "b": ranked}, [("a", "b")])
+    g = graph("a", {"a": top, "b": ranked}, [("a", "b")])
     text = "; ".join(bm.is_bessy(g))
     assert "constraint 1" in text and "constraint 2" in text
     # multiple successors without an operator symbol
-    g = _graph(
+    g = graph(
         "a",
-        {"a": Decoration(Op.NONE, R(0)), "b": ranked, "c": ranked},
+        {"a": Decoration(Op.NONE, 0), "b": ranked, "c": ranked},
         [("a", "b"), ("a", "c"), ("b", "b"), ("c", "c")],
     )
     assert any("constraint 3" in v for v in bm.is_bessy(g))
     # rank gap
-    g = _graph(
+    g = graph(
         "a",
-        {"a": Decoration(Op.NONE, R(0)), "b": Decoration(Op.NONE, R(2))},
+        {"a": Decoration(Op.NONE, 0), "b": Decoration(Op.NONE, 2)},
         [("a", "a"), ("b", "b")],
     )
     assert any("constraint 4" in v for v in bm.is_bessy(g))
     # unranked cycle
-    g = _graph(
+    g = graph(
         "a",
         {"a": Decoration(Op.AND), "b": Decoration(Op.OR)},
         [("a", "b"), ("b", "a")],
@@ -57,10 +58,10 @@ def test_is_bessy_violations():
     assert any("constraint 5" in v for v in bm.is_bessy(g))
     # r -> s -> c -> d -> c, all unranked, each also pointing to ranked x:
     # one violation, through a node on the cycle (s only leads into it)
-    deco = {u: Decoration(Op.AND) for u in "rsc"}
-    deco.update(d=Decoration(Op.OR), x=Decoration(Op.NONE, R(0)))
+    deco = {u: Decoration(Op.OR if u == "d" else Op.AND) for u in "cdrs"}
+    deco["x"] = Decoration(Op.NONE, 0)
     edges = [("r", "s"), ("s", "c"), ("c", "d"), ("d", "c"), ("x", "x")]
-    g = _graph("r", deco, edges + [(u, "x") for u in "rscd"])
+    g = graph("r", deco, edges + [(u, "x") for u in "rscd"])
     assert bm.is_bessy(g) == ["constraint 5: unranked cycle through node 'c'"]
     with pytest.raises(bm.UnrankedCycleError, match="cycle of unranked nodes: c -> d$"):
         bm.normalise_graph(g)
@@ -72,22 +73,20 @@ def test_long_unranked_chain_is_bessy_and_normalises():
     n = 5000
     ids = [f"u{i:04d}" for i in range(n)]
     deco = {u: Decoration(Op.AND if i % 2 else Op.OR) for i, u in enumerate(ids)}
-    deco["x"] = Decoration(Op.NONE, R(1))
+    deco["x"] = Decoration(Op.NONE, 1)
     edges = list(zip(ids, ids[1:] + ["x"])) + [(u, "x") for u in ids] + [("x", "x")]
-    g = _graph(ids[0], deco, edges)
+    g = graph(ids[0], deco, edges)
     assert bm.is_bessy(g) == []
     normalised = bm.normalise_graph(bm.reduce_graph(g))
-    assert all(d.ranks == R(1) for d in normalised.deco.values())
+    assert all(d.rank == 1 for d in normalised.deco)
 
 
 def test_translate_rejects_non_bessy_and_multi_rank():
-    g = _graph("a", {"a": Decoration(Op.TOP), "b": Decoration()}, [("a", "b")])
+    g = graph("a", {"a": Decoration(Op.TOP), "b": Decoration()}, [("a", "b")])
     with pytest.raises(bm.NotBessyError):
         bm.translate(g)
-    g = _graph("a", {"a": Decoration(Op.NONE, R(0, 1))}, [("a", "a")])
-    with pytest.raises(bm.NotBessyError) as exc:
-        bm.translate(g)
-    assert "multiple ranks" in str(exc.value)
+    # a node has at most one rank: Decoration cannot hold a second one, and
+    # parse_graph rejects a multi-rank line (test_parse_graph_rejections)
 
 
 def test_translate_round_trip_on_srf_systems():
@@ -103,8 +102,7 @@ def test_translate_round_trip_on_srf_systems():
         original = bm.solve_gauss(es)
         translated = bm.solve_gauss(back)
         for eq in es:
-            node = next(u for u in g.deco if g.label(u) == eq.lhs)
-            assert translated[names[node]] == original[eq.lhs]
+            assert translated[names[g.labels.index(eq.lhs)]] == original[eq.lhs]
         # translation is stable: one more build/translate round trip is
         # the identity on the equation system
         g2 = bm.build_graph(back, formula)
@@ -123,11 +121,11 @@ def test_term_rhs_ordering():
 
 def test_minimize_fixture_counts():
     g = bm.build_graph(bm.fixture("paper-application"))
-    assert len(g.nodes) == 12
-    quotient, mapping = bm.minimize(g)
-    assert len(quotient.nodes) == 7
-    assert set(mapping) == set(g.deco)
-    assert set(mapping.values()) == set(quotient.deco)
+    assert len(g.ids) == 12
+    quotient, block_of = bm.minimize(g)
+    assert len(quotient.ids) == 7
+    assert len(block_of) == len(g.ids)
+    assert set(block_of) == set(range(len(quotient.ids)))
     assert bm.bisimilar(g, quotient)
 
 
@@ -147,23 +145,21 @@ def test_minimize_hand_built_graph():
     # node ids out of label order, and labels shared within a block ("Y")
     # and across blocks ("V"): blocks are numbered by their least label
     deco = {
-        "n0": Decoration(Op.NONE, R(2)),
-        "n1": Decoration(Op.OR, R(1)),
-        "n2": Decoration(Op.NONE, R(2)),
-        "n3": Decoration(Op.NONE, R(0)),
-        "n4": Decoration(Op.NONE, R(0)),
+        "n0": Decoration(Op.NONE, 2),
+        "n1": Decoration(Op.OR, 1),
+        "n2": Decoration(Op.NONE, 2),
+        "n3": Decoration(Op.NONE, 0),
+        "n4": Decoration(Op.NONE, 0),
         "n5": Decoration(Op.BOT),
         "n6": Decoration(Op.AND),
-        "n7": Decoration(Op.NONE, R(1)),
+        "n7": Decoration(Op.NONE, 1),
     }
     labels = {"n0": "Y", "n1": "X", "n2": "Y", "n3": "W", "n4": "V", "n5": "false", "n6": "U", "n7": "V"}
     edges = {("n0", "n3"), ("n1", "n0"), ("n1", "n2"), ("n1", "n7"), ("n2", "n4")}
     edges |= {("n3", "n3"), ("n4", "n4"), ("n6", "n5"), ("n6", "n1"), ("n7", "n7")}
-    quotient, mapping = bm.minimize(StructureGraph("n6", deco, frozenset(edges), labels))
-    assert mapping == {
-        "n0": "b5", "n1": "b4", "n2": "b5", "n3": "b2",
-        "n4": "b2", "n5": "b0", "n6": "b1", "n7": "b3",
-    }
+    quotient, block_of = bm.minimize(graph("n6", deco, edges, labels))
+    # n0 -> b5, n1 -> b4, n2 -> b5, n3 -> b2, n4 -> b2, n5 -> b0, n6 -> b1, n7 -> b3
+    assert block_of == [5, 4, 5, 2, 2, 0, 1, 3]
     assert bm.serialize_graph(quotient) == (
         "sgraph v1\ninit b1\n"
         'node b0 op=bot ranks=- label="false"\n'
@@ -179,7 +175,7 @@ def test_minimize_hand_built_graph():
 def test_minimize_is_idempotent():
     g = bm.build_graph(bm.fixture("mutex"))
     q1, _ = bm.minimize(g)
-    assert bm.minimize(q1) == (q1, {u: u for u in q1.deco})
+    assert bm.minimize(q1) == (q1, list(range(len(q1.ids))))
 
 
 def test_bisimilar_positive_and_negative():
@@ -194,7 +190,7 @@ def test_bisimilar_ignores_unreachable_parts():
     es2 = bm.parse_bes("mu X = X;")
     g = bm.build_graph(es1, bm.Var("X"))
     h = bm.build_graph(es2, bm.Var("X"))
-    assert len(g.nodes) == 2 and len(h.nodes) == 1
+    assert len(g.ids) == 2 and len(h.ids) == 1
     assert bm.bisimilar(g, h)
 
 
@@ -202,7 +198,7 @@ def test_dependency_graph_matches_srf_structure_graph():
     for seed in range(20):
         es = bm.gen_srf_bes(bm.GenConfig(variable_count=6, seed=seed))
         d = bm.to_dependency_graph(es)
-        assert set(d.deco) == bm.bnd(es) and d.init == es.equations[0].lhs
+        assert set(d.ids) == bm.bnd(es) and d.ids[d.init] == es.equations[0].lhs
         assert relabelled(bm.build_srf_graph(es)) == d
     with pytest.raises(bm.BesError):
         bm.to_dependency_graph(bm.parse_bes("mu X = X && X;"))
@@ -217,8 +213,8 @@ def test_serialize_parse_round_trip():
 
 
 def test_serialize_quoting():
-    deco = {"a": Decoration(Op.NONE, R(0))}
-    g = StructureGraph("a", deco, frozenset({("a", "a")}), {"a": 'we "quote" \\'})
+    deco = {"a": Decoration(Op.NONE, 0)}
+    g = graph("a", deco, [("a", "a")], {"a": 'we "quote" \\'})
     assert bm.parse_graph(bm.serialize_graph(g)) == g
 
 
@@ -233,6 +229,7 @@ def test_parse_graph_rejections():
     for text in (
         node.format("x"),
         node.format("1,,2"),
+        node.format("0,1"),
         node.format("1") + "edge a b\n",
         node.format("1").replace("init a", "init b"),
     ):

@@ -74,7 +74,7 @@ def test_minimize_shrinks_and_preserves_solution(es):
     g = bm.normalise_graph(bm.reduce_graph(bm.build_graph(es)))
     quotient, _ = bm.minimize(g)
     assert bm.bisimilar(g, quotient)
-    assert len(quotient.nodes) <= len(g.nodes)
+    assert len(quotient.ids) <= len(g.ids)
     assert bm.is_bessy(quotient) == []
     result = bm.verify_system(es)
     assert result.ok, result.mismatches

@@ -3,7 +3,7 @@
 import pytest
 
 import besmin as bm
-from besmin import Const, Var
+from besmin import Var
 from conftest import oracle
 
 
@@ -84,14 +84,6 @@ def test_oracle_environment_independence_on_closed_systems():
             x: v for x, v in bm.solve_recursive(es, env).items() if x in names
         }
         assert restricted(lo) == restricted(hi) == oracle(es)
-
-
-def test_solve_formula():
-    es = bm.parse_bes("mu X = Y; nu Y = X;")
-    assert not bm.solve_formula(es, bm.parse_formula("X || Y"))
-    assert bm.solve_formula(es, Const(True))
-    with pytest.raises(bm.OpenSystemError):
-        bm.solve_formula(es, Var("Z"))
 
 
 def test_solutions_in_binding_order():
