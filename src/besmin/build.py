@@ -36,18 +36,20 @@ from .syntax import (
 )
 
 
-def _check_closed_nonempty(es: EquationSystem) -> None:
+def _require_nonempty(es: EquationSystem) -> None:
     if not es.equations:
         raise BesError("structure graphs are defined for non-empty systems")
-    require_closed(es)
 
 
 _OPS = {And: Op.AND, AndSet: Op.AND, Or: Op.OR, OrSet: Op.OR}
-_TERM_DECO = {cls: Decoration(op) for cls, op in _OPS.items()}
+_SRF_DECO = {cls: Decoration(op) for cls, op in _OPS.items()}
+_GENERAL_DECO = {And: _SRF_DECO[And], Or: _SRF_DECO[Or]}
 _CONSTANTS = {("true",): Decoration(Op.TOP), ("false",): Decoration(Op.BOT)}
 
 
-def _graph(es: EquationSystem, t: Formula, successors) -> StructureGraph:
+def _graph(
+    es: EquationSystem, t: Formula, successors, term_deco: dict
+) -> StructureGraph:
     """The closure of ``t`` and the bound variables, in id order.
 
     A node is keyed by a bound variable's name, or by a 1-tuple of the
@@ -55,8 +57,10 @@ def _graph(es: EquationSystem, t: Formula, successors) -> StructureGraph:
     true stay apart; two formulas with one text (possible only with names
     that are not identifiers) get keys that also hold the formula.  Each
     node's text, decoration and successor keys (``successors(f, key_of)``
-    of the formula or of the variable's right-hand side) are computed once.
-    The text is also the node's label and its sort key: constants first,
+    of the formula or of the variable's right-hand side) are computed once,
+    and ``term_deco`` decorates each term by its class.  An unbound name,
+    or a term whose class ``term_deco`` lacks, raises ``KeyError``.  The
+    text is also the node's label and its sort key: constants first,
     then the text, in a stable sort over the closure's insertion order,
     which is the order ``formula_key`` gives.
     """
@@ -96,7 +100,7 @@ def _graph(es: EquationSystem, t: Formula, successors) -> StructureGraph:
             nodes.append((key[0], _CONSTANTS[key], []))
         else:
             f = terms[key]
-            nodes.append((key[0], _TERM_DECO[f.__class__], successors(f, key_of)))
+            nodes.append((key[0], term_deco[f.__class__], successors(f, key_of)))
         stack.extend(nodes[-1][2])
     first = [position[k] for k in _CONSTANTS if k in position]
     texts = [node[0] for node in nodes]
@@ -146,24 +150,32 @@ def build_graph(es: EquationSystem, t: Optional[Formula] = None) -> StructureGra
     The node set is the part reachable from ``t`` together with all bound
     variables.
     """
-    _check_closed_nonempty(es)
+    _require_nonempty(es)
     if t is None:
         t = Var(least_variable(es))
-    for eq in es:
-        if not is_general_syntax(eq.rhs):
-            raise BesError(
-                f"general-syntax system required; equation for {eq.lhs} "
-                f"uses an n-ary connective"
-            )
-    if not is_general_syntax(t):
-        raise BesError("general-syntax formula required")
-    _require_bound(es, t)
-    return _graph(es, t, _leaves)
+    try:
+        return _graph(es, t, _leaves, _GENERAL_DECO)
+    except KeyError:
+        # the closure visits every subterm of t and of each right-hand side,
+        # so it fails on any unbound name or n-ary connective; name the
+        # first precondition broken, in the order they are stated
+        require_closed(es)
+        for eq in es:
+            if not is_general_syntax(eq.rhs):
+                raise BesError(
+                    f"general-syntax system required; equation for {eq.lhs} "
+                    f"uses an n-ary connective"
+                )
+        if not is_general_syntax(t):
+            raise BesError("general-syntax formula required")
+        _require_bound(es, t)
+        raise
 
 
 def build_srf_graph(es: EquationSystem, t: Optional[Formula] = None) -> StructureGraph:
     """Structure graph of an SRF formula in the context of a system in SRF."""
-    _check_closed_nonempty(es)
+    _require_nonempty(es)
+    require_closed(es)
     if not is_srf(es):
         raise BesError("system is not in standard recursive form")
     if t is None:
@@ -171,7 +183,7 @@ def build_srf_graph(es: EquationSystem, t: Optional[Formula] = None) -> Structur
     if not isinstance(t, (Var, AndSet, OrSet)):
         raise BesError("formula is not in SRF syntax")
     _require_bound(es, t)
-    return _graph(es, t, lambda f, key_of: sorted(occ(f)))
+    return _graph(es, t, lambda f, key_of: sorted(occ(f)), _SRF_DECO)
 
 
 # ---------------------------------------------------------------------------

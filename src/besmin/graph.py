@@ -226,28 +226,86 @@ def translate(g: StructureGraph) -> tuple[Formula, EquationSystem, list[str]]:
 
 
 # ---------------------------------------------------------------------------
-# Partition refinement (Kanellakis-Smolka style signature splitting)
+# Partition refinement (signature rounds, re-signing only what a split touches)
 
 
 def _refine(succs: list[list[int]], keys: list) -> list[int]:
     """Coarsest stable refinement of the partition of positions by ``keys``.
 
-    ``succs[i]`` lists the successor positions of position ``i``.  Each
-    round regroups the positions by their block and the set of their
-    successors' blocks, until the number of blocks stays the same.  Blocks
-    are numbered by their first member.
+    ``succs[i]`` lists the successor positions of position ``i``.  A
+    node's signature is its block and the set of its successors' blocks;
+    each round regroups the nodes by signature, until no block splits.
+    Blocks are numbered by their first member.
+
+    The rounds start from the partition by key and by whether a node has
+    successors, which is stable with respect to the whole node set.  Each
+    round re-signs only the predecessors of the parts that the last round
+    split off, leaving out the largest part of each split block
+    (Hopcroft's "all but the largest" trick, as Paige & Tarjan 1987 and
+    Valmari 2009 use it).  The members of a block that are not re-signed
+    shared a signature the round before and reach no part of a split
+    block but the one left out, so they still share one and stay together;
+    a re-signed member reaches a part they do not, so it never joins them.
+    Each round thus gives the partition a round re-signing every node would.
+
+    A node lies in a part of the work at most log2 n times, as such a part
+    is at most half of its block, so an edge has its source re-signed at
+    most that often.  But a re-signed node reads all of its successors: a
+    hub with a successor in every link of a chain is re-signed once per
+    link and reads the whole chain each time.
     """
+    preds: list[list[int]] = [[] for _ in succs]
+    for u, vs in enumerate(succs):
+        for v in vs:
+            preds[v].append(u)
     ids: dict = {}
-    block = [ids.setdefault(key, len(ids)) for key in keys]
-    while True:
-        count, block_of = len(ids), block.__getitem__
-        ids = {}
-        block = [
-            ids.setdefault((b, frozenset(map(block_of, vs))), len(ids))
-            for b, vs in zip(block, succs)
-        ]
-        if len(ids) == count:
-            return block
+    block = [
+        2 * ids.setdefault(key, len(ids)) + (not vs) for key, vs in zip(keys, succs)
+    ]
+    # members[b] holds the members of block b and may hold nodes that have
+    # left it; size[b] counts only the members
+    members: list[list[int]] = [[] for _ in range(2 * len(ids))]
+    for u, b in enumerate(block):
+        members[b].append(u)
+    size = list(map(len, members))
+    largest = max(range(len(size)), key=size.__getitem__, default=-1)
+    work = [b for b, k in enumerate(size) if k and b != largest]
+    while work:
+        touched: set[int] = set()
+        for b in work:
+            if len(members[b]) != size[b]:
+                members[b] = [v for v in members[b] if block[v] == b]
+            for v in members[b]:
+                touched.update(preds[v])
+        block_of = block.__getitem__
+        groups: dict = {}
+        for u in touched:
+            signature = (block[u], frozenset(map(block_of, succs[u])))
+            groups.setdefault(signature, []).append(u)
+        parts: dict[int, list[list[int]]] = {}
+        for (b, _), us in groups.items():
+            parts.setdefault(b, []).append(us)
+        work = []
+        for b, split in parts.items():
+            rest = size[b] - sum(map(len, split))  # members not re-signed
+            if not rest:
+                if len(split) == 1:
+                    continue
+                rest = len(split.pop())  # this part keeps the block's number
+            size[b] = rest
+            big, most = -1, rest  # the largest part's place in work; -1: rest
+            for us in split:
+                for u in us:
+                    block[u] = len(size)
+                if len(us) > most:
+                    big, most = len(work), len(us)
+                work.append(len(size))
+                members.append(us)
+                size.append(len(us))
+            if big >= 0:
+                work[big] = b
+    ids = {}
+    return [ids.setdefault(b, len(ids)) for b in block]
 
 
 def minimize(g: StructureGraph) -> tuple[StructureGraph, list[int]]:
@@ -363,6 +421,8 @@ def parse_graph(text: str) -> StructureGraph:
         if m:
             node_id, op, rank, label = m.groups()
             rank = None if rank == "-" else int(rank)
+            if node_id in nodes:
+                raise BesError(f"node {node_id!r} is defined twice")
             nodes[node_id] = (Decoration(Op(op), rank), _unquote(label))
             continue
         m = _EDGE_RE.match(line)

@@ -115,15 +115,25 @@ def test_node_identity_with_names_that_are_not_identifiers():
 
 
 def test_build_graph_preconditions():
-    with pytest.raises(bm.OpenSystemError):
-        bm.build_graph(bm.parse_bes("mu X = Y;"))
-    with pytest.raises(bm.BesError):
-        bm.build_graph(bm.EquationSystem(()))
+    # several inputs break more than one precondition; the first in the
+    # order empty, closed, general syntax, bound formula is reported
     es = bm.parse_bes("mu X = X;")
-    with pytest.raises(bm.OpenSystemError):
-        bm.build_graph(es, Var("Q"))
-    with pytest.raises(bm.BesError):
-        bm.build_graph(es, bm.AndSet(frozenset({"X"})))  # not general syntax
+    for system, formula, error, message in (
+        (bm.EquationSystem(()), None, bm.BesError, "for non-empty systems"),
+        (bm.parse_bes("mu X = Y && OR{X};"), None, bm.OpenSystemError, "unbound: Y"),
+        (bm.parse_bes("mu X = Y;"), None, bm.OpenSystemError, "open; unbound: Y"),
+        (
+            bm.parse_bes("mu X = X; nu Y = AND{X} || Y;"),
+            bm.AndSet(frozenset({"Q"})),
+            bm.BesError,
+            "equation for Y uses an n-ary connective",
+        ),
+        (es, bm.AndSet(frozenset({"Q"})), bm.BesError, "general-syntax formula"),
+        (es, And(Var("X"), Var("Q")), bm.OpenSystemError, "unbound variables: Q"),
+        (es, Var("Q"), bm.OpenSystemError, "unbound variables: Q"),
+    ):
+        with pytest.raises(error, match=message):
+            bm.build_graph(system, formula)
 
 
 def test_paper_application_counts():

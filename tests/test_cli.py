@@ -140,6 +140,23 @@ def test_graph_srf_flag_on_non_srf_exit_2(capsys):
     assert "standard recursive form" in err
 
 
+def test_graph_n_ary_formula(tmp_path, capsys):
+    # the SRF rules take an n-ary formula; the general rules reject it
+    path = tmp_path / "srf.bes"
+    path.write_text("mu X = OR{X, Y};\nnu Y = AND{X};\n")
+    code, out, err = run(capsys, "graph", str(path), "--srf", "--formula", "AND{X,Y}")
+    assert (code, err) == (0, "")
+    graph = bm.parse_graph(out)
+    assert graph.labels[graph.init] == "AND{X,Y}"
+    assert graph.deco[graph.init] == bm.Decoration(bm.Op.AND)
+    code, out, err = run(capsys, "graph", str(path), "--formula", "AND{X,Y}")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: general-syntax system required; "
+        "equation for X uses an n-ary connective\n"
+    )
+
+
 def test_minimize_graph(capsys):
     code, out, _ = run(
         capsys, "minimize", "--fixture", "paper-application", "--emit", "graph"

@@ -1,6 +1,9 @@
 """Structure graphs: validation, translation, bisimulation, formats."""
 
+import time
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import besmin as bm
 import besmin.graph
@@ -141,6 +144,61 @@ def test_minimize_checks_its_block_mapping(monkeypatch):
         bm.minimize(bm.build_graph(bm.fixture("paper-application")))
 
 
+def _naive_refine(succs, keys):
+    # every node re-signed in every round, until the block count stays
+    ids: dict = {}
+    block = [ids.setdefault(key, len(ids)) for key in keys]
+    while True:
+        count, block_of = len(ids), block.__getitem__
+        ids = {}
+        block = [
+            ids.setdefault((b, frozenset(map(block_of, vs))), len(ids))
+            for b, vs in zip(block, succs)
+        ]
+        if len(ids) == count:
+            return block
+
+
+@st.composite
+def refinement_inputs(draw):
+    n = draw(st.integers(min_value=0, max_value=12))
+    nodes = st.integers(min_value=0, max_value=max(n - 1, 0))
+    succs = [sorted(draw(st.sets(nodes, max_size=3))) for _ in range(n)]
+    keys = draw(st.lists(st.sampled_from("abc"), min_size=n, max_size=n))
+    return succs, keys
+
+
+@settings(max_examples=500, deadline=None)
+@given(refinement_inputs())
+def test_refine_matches_the_naive_rounds(case):
+    succs, keys = case
+    assert besmin.graph._refine(succs, keys) == _naive_refine(succs, keys)
+
+
+def _chain(links: int) -> str:
+    # nothing merges: X{i} is i links away from false
+    body = "".join(f"nu X{i} = X{i + 1} && X{i + 1};\n" for i in range(links))
+    return body + f"nu X{links} = false;\n"
+
+
+def test_minimize_long_chain():
+    g = bm.build_graph(bm.parse_bes(_chain(4000)))
+    start = time.perf_counter()
+    quotient, _ = bm.minimize(g)
+    assert time.perf_counter() - start < 5
+    assert len(quotient.ids) == len(g.ids) == 4002
+
+
+def test_minimize_hub_over_a_long_chain():
+    # H reaches every link, so it is re-signed once per round
+    hub = " || ".join(f"X{i}" for i in range(4000))
+    g = bm.build_graph(bm.parse_bes(f"nu H = {hub};\n" + _chain(4000)))
+    start = time.perf_counter()
+    quotient, _ = bm.minimize(g)
+    assert time.perf_counter() - start < 10
+    assert len(quotient.ids) == len(g.ids) == 4003
+
+
 def test_minimize_hand_built_graph():
     # node ids out of label order, and labels shared within a block ("Y")
     # and across blocks ("V"): blocks are numbered by their least label
@@ -232,6 +290,7 @@ def test_parse_graph_rejections():
         node.format("0,1"),
         node.format("1") + "edge a b\n",
         node.format("1").replace("init a", "init b"),
+        node.format("1") + 'node a op=none ranks=0 label="b"\nedge a a\n',
     ):
         with pytest.raises(bm.BesError):
             bm.parse_graph(text)
