@@ -107,14 +107,13 @@ def _graph(
     order = first + sorted(
         (i for i in range(len(nodes)) if i not in first), key=texts.__getitem__
     )
-    place = [0] * len(order)  # closure index -> node position
-    for j, i in enumerate(order):
-        place[i] = j
+    closure = list(position)  # the keys in closure order
+    place = {closure[i]: j for j, i in enumerate(order)}  # key -> node position
     width = len(str(max(len(order) - 1, 0)))
     return StructureGraph(
-        place[position[init]],
+        place[init],
         [nodes[i][1] for i in order],
-        [sorted([place[position[k]] for k in nodes[i][2]]) for i in order],
+        [sorted(map(place.__getitem__, nodes[i][2])) for i in order],
         [texts[i] for i in order],
         [f"n{j:0{width}d}" for j in range(len(order))],
     )
@@ -131,6 +130,8 @@ def _leaves(f: Formula, key_of) -> list:
         g = stack.pop()
         if g.__class__ is cls:
             stack += g.right, g.left
+        elif g.__class__ is Var:
+            keys[g.name] = None  # key_of gives a variable its name
         else:
             keys[key_of(g)] = None
     return list(keys)

@@ -111,14 +111,13 @@ def _cmd_minimize(args) -> int:
         sys.stdout.write(serialize_graph(quotient))
         return EXIT_OK
     m = pipeline(es)
-    sys.stdout.write(print_bes(m.system))
-    print("---")
-    print(f"equations: {len(m.system.equations)}")
     members: dict[str, list[str]] = {}
     for label, block in zip(m.graph.labels, m.block_of):
         members.setdefault(m.names[block], []).append(label)
+    lines = [print_bes(m.system), "---\n", f"equations: {len(m.system.equations)}\n"]
     for eq in m.system:
-        print(f"{eq.lhs} <= {{{', '.join(sorted(members[eq.lhs]))}}}")
+        lines.append(f"{eq.lhs} <= {{{', '.join(sorted(members[eq.lhs]))}}}\n")
+    sys.stdout.write("".join(lines))
     return EXIT_OK
 
 

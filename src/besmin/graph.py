@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import enum
 import re
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 from .errors import BesError, NotBessyError
 from .syntax import (
@@ -101,25 +102,26 @@ def _unranked_order(g: StructureGraph) -> tuple[list[int], list[int]]:
     unranked nodes the search meets, or empty if there is none; the order
     then stops where the search did.
     """
+    deco, succ = g.deco, g.succ
     done: dict[int, None] = {}  # the order so far, as an ordered set
-    for root, d in enumerate(g.deco):
+    for root, d in enumerate(deco):
         if d.rank is not None or root in done:
             continue
         path = {root: None}  # the search path, as an ordered set
-        todo = [iter(g.succ[root])]
+        todo = [iter(succ[root])]
         while todo:
-            v = next(
-                (v for v in todo[-1] if g.deco[v].rank is None and v not in done), None
-            )
-            if v is None:
+            for v in todo[-1]:
+                if deco[v].rank is None and v not in done:
+                    break
+            else:
                 todo.pop()
                 done[path.popitem()[0]] = None
-            elif v in path:
+                continue
+            if v in path:
                 cycle = list(path)
                 return list(done), cycle[cycle.index(v):]
-            else:
-                path[v] = None
-                todo.append(iter(g.succ[v]))
+            path[v] = None
+            todo.append(iter(succ[v]))
     return list(done), []
 
 
@@ -177,17 +179,19 @@ def is_bessy(g: StructureGraph) -> list[str]:
 # translation back into an equation system
 
 
-_CONNECTIVE = {Op.AND: And, Op.OR: Or}
-
-
-def _nest(op, terms: Iterable[Formula]) -> Formula:
+def _nest(op, operands: list[tuple]) -> Formula:
+    """The terms of ``(formula_key, term)`` operands, each once, in key
+    order and nested to the right under ``op``; one operand is returned as
+    it is."""
+    if len(operands) == 1:
+        return operands[0][1]
     # the operands are variables, constants and terms over them, so their
     # canonical texts tell them apart without hashing the formulas
-    unique = {formula_key(t): t for t in terms}
-    ordered = [unique[k] for k in sorted(unique)]
-    result = ordered[-1]
-    for t in reversed(ordered[:-1]):
-        result = op(t, result)
+    unique = dict(operands)
+    keys = sorted(unique)
+    result = unique[keys.pop()]
+    for k in reversed(keys):
+        result = op(unique[k], result)
     return result
 
 
@@ -205,24 +209,30 @@ def translate(g: StructureGraph) -> tuple[Formula, EquationSystem, list[str]]:
     names = [""] * len(g.ids)
     for i, u in enumerate(ranked + rest):
         names[u] = f"X{i}"
-    # each node's term, built once: an unranked ▲/▽ node nests the terms of
-    # its successors, a constant is itself and any other node its variable
-    terms: list[Formula] = [Var(x) for x in names]
+    # each node's operand, its formula_key and term, built once: a ranked
+    # node is its variable, an unranked ▲/▽ node nests the terms of its
+    # successors, a constant is itself and any other node its variable
+    operands: list[tuple] = [None] * len(g.ids)
+    for u in ranked:
+        operands[u] = (1, 0, names[u]), Var(names[u])  # formula_key of a Var
     for u in order:
         op = g.deco[u].op
-        if op in _CONNECTIVE:
-            terms[u] = _nest(_CONNECTIVE[op], (terms[v] for v in g.succ[u]))
-        elif op in (Op.TOP, Op.BOT):
-            terms[u] = Const(op is Op.TOP)
+        if op is Op.AND or op is Op.OR:
+            term = _nest(And if op is Op.AND else Or, [operands[v] for v in g.succ[u]])
+        elif op is Op.TOP or op is Op.BOT:
+            term = Const(op is Op.TOP)
+        else:
+            term = Var(names[u])
+        operands[u] = formula_key(term), term
     equations = []
     for u in ranked:
         d = g.deco[u]
         sign = Fixpoint.MU if d.rank % 2 == 1 else Fixpoint.NU
         # by constraints 2 and 3, a node without ▲/▽ has one successor,
         # which _nest returns as it is
-        rhs = _nest(_CONNECTIVE.get(d.op), (terms[v] for v in g.succ[u]))
+        rhs = _nest(And if d.op is Op.AND else Or, [operands[v] for v in g.succ[u]])
         equations.append(Equation(sign, names[u], rhs))
-    return terms[g.init], EquationSystem(tuple(equations)), names
+    return operands[g.init][1], EquationSystem(tuple(equations)), names
 
 
 # ---------------------------------------------------------------------------
@@ -258,13 +268,15 @@ def _refine(succs: list[list[int]], keys: list) -> list[int]:
     for u, vs in enumerate(succs):
         for v in vs:
             preds[v].append(u)
-    ids: dict = {}
-    block = [
-        2 * ids.setdefault(key, len(ids)) + (not vs) for key, vs in zip(keys, succs)
-    ]
+    # number the keys by equality, hashing each distinct key object once:
+    # a built graph shares one Decoration among the nodes of one kind
+    objects = dict(zip(map(id, keys), keys))  # id of a key -> the key
+    classes: dict = {}
+    number = {i: classes.setdefault(key, len(classes)) for i, key in objects.items()}
+    block = [2 * number[i] + (not vs) for i, vs in zip(map(id, keys), succs)]
     # members[b] holds the members of block b and may hold nodes that have
     # left it; size[b] counts only the members
-    members: list[list[int]] = [[] for _ in range(2 * len(ids))]
+    members: list[list[int]] = [[] for _ in range(2 * len(classes))]
     for u, b in enumerate(block):
         members[b].append(u)
     size = list(map(len, members))
@@ -278,10 +290,9 @@ def _refine(succs: list[list[int]], keys: list) -> list[int]:
             for v in members[b]:
                 touched.update(preds[v])
         block_of = block.__getitem__
-        groups: dict = {}
+        groups: defaultdict = defaultdict(list)
         for u in touched:
-            signature = (block[u], frozenset(map(block_of, succs[u])))
-            groups.setdefault(signature, []).append(u)
+            groups[block[u], frozenset(map(block_of, succs[u]))].append(u)
         parts: dict[int, list[list[int]]] = {}
         for (b, _), us in groups.items():
             parts.setdefault(b, []).append(us)
@@ -323,20 +334,20 @@ def minimize(g: StructureGraph) -> tuple[StructureGraph, list[int]]:
             number[refined[u]] = len(first)
             first.append(u)
     block_of = [number[b] for b in refined]
-    targets = [{block_of[v] for v in g.succ[u]} for u in first]
+    images = [{block_of[v] for v in vs} for vs in g.succ]  # successor blocks
     width = len(str(max(len(first) - 1, 0)))
     quotient = StructureGraph(
         block_of[g.init],
         [g.deco[u] for u in first],
-        [sorted(vs) for vs in targets],
+        [sorted(images[u]) for u in first],
         [g.labels[u] for u in first],
         [f"b{b:0{width}d}" for b in range(len(first))],
     )
     # the mapping is a functional bisimulation: it keeps every node's
     # decoration and maps its successors onto its block's successors
     assert all(
-        d == g.deco[first[b]] and {block_of[v] for v in vs} == targets[b]
-        for d, vs, b in zip(g.deco, g.succ, block_of)
+        (d is g.deco[u] or d == g.deco[u]) and image == images[u]
+        for d, image, u in zip(g.deco, images, map(first.__getitem__, block_of))
     ), "the block mapping must be a functional bisimulation"
     return quotient, block_of
 

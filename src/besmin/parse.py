@@ -120,19 +120,25 @@ class _Parser:
         bound = set()
         pos = 0
         while tokens[pos]:
+            # the header is checked inline; name and expect only raise
             sign = tokens[pos]
             if sign != "mu" and sign != "nu":
                 raise self.unexpected(pos, "expected 'mu' or 'nu'")
             name = tokens[pos + 1]
-            pos = self.name(pos + 1)
+            if not _is_name(name):
+                self.name(pos + 1)
             if name in bound:
                 raise WellFormednessError(
                     f"variable {name} is bound by more than one equation "
-                    f"(line {_line(self.text, self.offset(pos - 1))})"
+                    f"(line {_line(self.text, self.offset(pos + 1))})"
                 )
             bound.add(name)
-            rhs, pos = self.formula(self.expect(pos, "="))
-            pos = self.expect(pos, ";")
+            if tokens[pos + 2] != "=":
+                self.expect(pos + 2, "=")
+            rhs, pos = self.formula(pos + 3)
+            if tokens[pos] != ";":
+                self.expect(pos, ";")
+            pos += 1
             equations.append(Equation(Fixpoint.MU if sign == "mu" else Fixpoint.NU, name, rhs))
         return EquationSystem(tuple(equations))
 

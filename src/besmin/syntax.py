@@ -103,40 +103,41 @@ def system(*equations: Equation) -> EquationSystem:
 # Canonical text form
 
 
-def _prec(f: Formula) -> int:
-    # disjunction binds loosest, conjunction tighter, everything else atomic
-    if isinstance(f, Or):
-        return 1
-    if isinstance(f, And):
-        return 2
-    return 3
-
-
 def format_formula(f: Formula) -> str:
-    if isinstance(f, Const):
-        return "true" if f.value else "false"
-    if isinstance(f, Var):
+    cls = f.__class__
+    if cls is Var:
         return f.name
-    if isinstance(f, AndSet):
+    if cls is And or cls is Or:
+        # a left-nested chain of one connective prints without parentheses,
+        # and every operand off it that is a connective prints inside them:
+        # walk the chain's left spine in a loop and recurse only into the
+        # operands off it
+        sep = " && " if cls is And else " || "
+        left, right = f.left, f.right
+        if left.__class__ is cls:
+            rights = [right]
+            while left.__class__ is cls:
+                rights.append(left.right)
+                left = left.left
+            text = sep.join([
+                f"({format_formula(g)})"
+                if g.__class__ is And or g.__class__ is Or
+                else format_formula(g)
+                for g in reversed(rights)
+            ])
+        else:
+            text = format_formula(right)
+            if right.__class__ is And or right.__class__ is Or:
+                text = f"({text})"
+        if left.__class__ is And or left.__class__ is Or:
+            return f"({format_formula(left)}){sep}{text}"
+        return format_formula(left) + sep + text
+    if cls is Const:
+        return "true" if f.value else "false"
+    if cls is AndSet:
         return "AND{" + ",".join(sorted(f.members)) + "}"
-    if isinstance(f, OrSet):
+    if cls is OrSet:
         return "OR{" + ",".join(sorted(f.members)) + "}"
-    if isinstance(f, And):
-        left = format_formula(f.left)
-        right = format_formula(f.right)
-        if _prec(f.left) < 2:
-            left = f"({left})"
-        if _prec(f.right) <= 2:
-            right = f"({right})"
-        return f"{left} && {right}"
-    if isinstance(f, Or):
-        left = format_formula(f.left)
-        right = format_formula(f.right)
-        if _prec(f.left) == 2:
-            left = f"({left})"
-        if _prec(f.right) <= 2:
-            right = f"({right})"
-        return f"{left} || {right}"
     raise TypeError(f"not a formula: {f!r}")
 
 

@@ -256,6 +256,12 @@ def test_deep_input_probe(tmp_path, capsys):
         code, out, err = run(capsys, *command, str(chain))
         assert (code, err) == (0, ""), command
     assert "size: 6000" in run(capsys, "check", str(chain))[1]
+    # ... and as an operand of a disjunction, which build_graph formats
+    for operands in (3000, 10_000):
+        chain.write_text("mu X = Y || (" + " && ".join(["X"] * operands) + "); nu Y = Y;")
+        for command in (("graph",), ("minimize",), ("minimize", "--emit", "bes")):
+            code, out, err = run(capsys, *command, str(chain))
+            assert (code, err) == (0, ""), (operands, command)
     # X && (Y || (X && ...)) nested 400 levels: one unranked node per level
     term = "X"
     for level in range(400):

@@ -122,6 +122,36 @@ def test_term_rhs_ordering():
     assert bm.format_formula(x_rhs).count("(") == 1
 
 
+def test_translate_shares_an_unranked_term():
+    # the unranked ▲ node a is an operand of the ranked r1, r2 and r3 and of
+    # the unranked ▽ node o, next to a constant in r1 and o
+    g = graph(
+        "r1",
+        {
+            "a": Decoration(Op.AND),
+            "f": Decoration(Op.BOT),
+            "o": Decoration(Op.OR),
+            "r1": Decoration(Op.OR, 0),
+            "r2": Decoration(Op.AND, 1),
+            "r3": Decoration(Op.NONE, 1),
+            "t": Decoration(Op.TOP),
+        },
+        [
+            ("a", "r1"), ("a", "r2"), ("o", "a"), ("o", "t"), ("o", "r2"),
+            ("r1", "a"), ("r1", "t"), ("r2", "a"), ("r2", "o"), ("r2", "f"),
+            ("r3", "a"),
+        ],
+    )
+    formula, es, names = bm.translate(g)
+    assert formula == bm.Var("X0")
+    assert names == ["X3", "X4", "X5", "X0", "X1", "X2", "X6"]
+    assert bm.print_bes(es) == (
+        "nu X0 = true || (X0 && X1);\n"
+        "mu X1 = false && (X0 && X1 && (true || ((X0 && X1) || X1)));\n"
+        "mu X2 = X0 && X1;\n"
+    )
+
+
 def test_minimize_fixture_counts():
     g = bm.build_graph(bm.fixture("paper-application"))
     assert len(g.ids) == 12
@@ -139,9 +169,34 @@ def test_minimize_checks_its_block_mapping(monkeypatch):
         ids: dict = {}
         return [ids.setdefault(key, len(ids)) for key in keys]
 
+    refine = besmin.graph._refine
     monkeypatch.setattr(besmin.graph, "_refine", decoration_blocks)
     with pytest.raises(AssertionError):
         bm.minimize(bm.build_graph(bm.fixture("paper-application")))
+    # a partition that is wrong only in q2, which is not the first member
+    # of its block in either partition: it joins p's block, but q2 reaches
+    # f and p reaches t
+    node = Decoration(Op.NONE, 0)
+    g = graph(
+        "p",
+        {
+            "f": Decoration(Op.BOT),
+            "p": node,
+            "p2": node,
+            "q": node,
+            "q2": node,
+            "t": Decoration(Op.TOP),
+        },
+        [("p", "t"), ("p2", "t"), ("q", "f"), ("q2", "f")],
+    )
+    right = [0, 1, 1, 2, 2, 3]  # f, p, p2, q, q2, t
+    assert refine(g.succ, g.deco) == right
+    monkeypatch.setattr(besmin.graph, "_refine", lambda succs, keys: right)
+    bm.minimize(g)
+    wrong = [0, 1, 1, 2, 1, 3]
+    monkeypatch.setattr(besmin.graph, "_refine", lambda succs, keys: wrong)
+    with pytest.raises(AssertionError):
+        bm.minimize(g)
 
 
 def _naive_refine(succs, keys):
