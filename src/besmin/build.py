@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .errors import BesError, OpenSystemError, UnrankedCycleError
-from .graph import Decoration, Op, StructureGraph, _unranked_order
+from .graph import AND, BOT, NONE, OR, TOP, Decoration, StructureGraph, _unranked_order
 from .syntax import (
     And,
     AndSet,
@@ -41,10 +41,10 @@ def _require_nonempty(es: EquationSystem) -> None:
         raise BesError("structure graphs are defined for non-empty systems")
 
 
-_OPS = {And: Op.AND, AndSet: Op.AND, Or: Op.OR, OrSet: Op.OR}
+_OPS = {And: AND, AndSet: AND, Or: OR, OrSet: OR}
 _SRF_DECO = {cls: Decoration(op) for cls, op in _OPS.items()}
 _GENERAL_DECO = {And: _SRF_DECO[And], Or: _SRF_DECO[Or]}
-_CONSTANTS = {("true",): Decoration(Op.TOP), ("false",): Decoration(Op.BOT)}
+_CONSTANTS = {("true",): Decoration(TOP), ("false",): Decoration(BOT)}
 
 
 def _graph(
@@ -71,7 +71,7 @@ def _graph(
         cls = rhs_map[x].__class__
         key = (cls if cls in _OPS else None, r)
         if key not in shared:
-            shared[key] = Decoration(_OPS.get(cls, Op.NONE), r)
+            shared[key] = Decoration(_OPS.get(cls, NONE), r)
         var_deco[x] = shared[key]
     terms: dict = {}
 
@@ -196,8 +196,8 @@ def reduce_graph(g: StructureGraph) -> StructureGraph:
     rank 1 for false); everything else is copied unchanged."""
     deco, succ = list(g.deco), list(g.succ)
     for u, d in enumerate(g.deco):
-        if d.op in (Op.TOP, Op.BOT):
-            deco[u] = Decoration(Op.NONE, 0 if d.op is Op.TOP else 1)
+        if d.op is TOP or d.op is BOT:
+            deco[u] = Decoration(NONE, 0 if d.op is TOP else 1)
             succ[u] = sorted({*succ[u], u})
     return StructureGraph(g.init, deco, succ, g.labels, g.ids)
 
@@ -209,7 +209,7 @@ def normalise_graph(g: StructureGraph) -> StructureGraph:
     a cycle consisting entirely of unranked nodes is an error.
     """
     for d, label in zip(g.deco, g.labels):
-        if d.op in (Op.TOP, Op.BOT):
+        if d.op is TOP or d.op is BOT:
             raise BesError(
                 f"normalisation requires a reduced graph; node "
                 f"{label!r} is a constant"

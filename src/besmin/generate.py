@@ -11,12 +11,13 @@ import random
 from dataclasses import dataclass
 
 from .syntax import (
+    MU,
+    NU,
     And,
     AndSet,
     Const,
     Equation,
     EquationSystem,
-    Fixpoint,
     Formula,
     Or,
     OrSet,
@@ -72,7 +73,7 @@ def gen_bes(cfg: GenConfig) -> EquationSystem:
     equations = []
     for i, name in enumerate(names):
         rng = _stream(cfg, "eq", i)
-        sign = Fixpoint.MU if rng.random() < 0.5 else Fixpoint.NU
+        sign = MU if rng.random() < 0.5 else NU
         rhs = _formula(rng, cfg, names, cfg.max_rhs_depth)
         equations.append(Equation(sign, name, rhs))
     return EquationSystem(tuple(equations))
@@ -83,7 +84,7 @@ def gen_srf_bes(cfg: GenConfig) -> EquationSystem:
     equations = []
     for i, name in enumerate(names):
         rng = _stream(cfg, "srf", i)
-        sign = Fixpoint.MU if rng.random() < 0.5 else Fixpoint.NU
+        sign = MU if rng.random() < 0.5 else NU
         shape = rng.random()
         if shape < 0.34:
             rhs: Formula = Var(rng.choice(names))

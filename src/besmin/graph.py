@@ -14,16 +14,18 @@ import enum
 import re
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from .errors import BesError, NotBessyError
 from .syntax import (
+    FALSE,
+    MU,
+    NU,
+    TRUE,
     And,
     AndSet,
-    Const,
     Equation,
     EquationSystem,
-    Fixpoint,
     Formula,
     Or,
     OrSet,
@@ -44,12 +46,13 @@ class Op(enum.Enum):
     NONE = "none"
 
 
-_OP_SYMBOL = {Op.AND: "▲", Op.OR: "▽", Op.TOP: "⊤", Op.BOT: "⊥", Op.NONE: ""}
+AND, OR, TOP, BOT, NONE = Op.AND, Op.OR, Op.TOP, Op.BOT, Op.NONE  # bound once, as syntax.MU
+_OP_SYMBOL = {AND: "▲", OR: "▽", TOP: "⊤", BOT: "⊥", NONE: ""}
 
 
 @dataclass(frozen=True)
 class Decoration:
-    op: Op = Op.NONE
+    op: Op = NONE
     rank: Optional[int] = None
 
 
@@ -77,17 +80,15 @@ class StructureGraph:
         return [(u, v) for u, vs in enumerate(self.succ) for v in vs]
 
 
-def _label_key(label: str):
-    # true before false before everything else, then lexicographic
-    if label == "true":
-        return (0, 0, "")
-    if label == "false":
-        return (0, 1, "")
-    return (1, 0, label)
-
-
-def _node_key(g: StructureGraph) -> Callable[[int], tuple]:
-    return lambda u: (_label_key(g.labels[u]), u)
+def _label_order(labels: list[str]) -> list[int]:
+    """The positions in label order: every ``true`` node, then every
+    ``false`` node, then the rest by label; ties keep position order."""
+    rest = [u for u, label in enumerate(labels) if label != "true" and label != "false"]
+    return (
+        [u for u, label in enumerate(labels) if label == "true"]
+        + [u for u, label in enumerate(labels) if label == "false"]
+        + sorted(rest, key=labels.__getitem__)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -130,11 +131,11 @@ def _validate(g: StructureGraph) -> tuple[list[str], list[int]]:
     ``_unranked_order``."""
     violations = []
     for d, vs, label in zip(g.deco, g.succ, g.labels):
-        if d.op in (Op.TOP, Op.BOT) and vs:
+        if (d.op is TOP or d.op is BOT) and vs:
             violations.append(
                 f"constraint 1: constant node {label!r} has a successor"
             )
-        decorated = d.op in (Op.AND, Op.OR) or d.rank is not None
+        decorated = d.op is AND or d.op is OR or d.rank is not None
         if decorated and not vs:
             violations.append(
                 f"constraint 2: decorated node {label!r} has no successor"
@@ -143,7 +144,7 @@ def _validate(g: StructureGraph) -> tuple[list[str], list[int]]:
             violations.append(
                 f"constraint 2: undecorated node {label!r} has a successor"
             )
-        if len(vs) > 1 and d.op not in (Op.AND, Op.OR):
+        if len(vs) > 1 and d.op is not AND and d.op is not OR:
             violations.append(
                 f"constraint 3: node {label!r} has multiple successors "
                 f"but no operator symbol"
@@ -200,12 +201,11 @@ def translate(g: StructureGraph) -> tuple[Formula, EquationSystem, list[str]]:
     violations, order = _validate(g)
     if violations:
         raise NotBessyError("; ".join(violations))
-    key = _node_key(g)
-    ranked = sorted(
-        (u for u, d in enumerate(g.deco) if d.rank is not None),
-        key=lambda u: (g.deco[u].rank, key(u)),
-    )
-    rest = sorted((u for u, d in enumerate(g.deco) if d.rank is None), key=key)
+    rank = [d.rank for d in g.deco]
+    by_label = _label_order(g.labels)
+    # a stable sort by rank buckets the label order
+    ranked = sorted([u for u in by_label if rank[u] is not None], key=rank.__getitem__)
+    rest = [u for u in by_label if rank[u] is None]
     names = [""] * len(g.ids)
     for i, u in enumerate(ranked + rest):
         names[u] = f"X{i}"
@@ -217,20 +217,19 @@ def translate(g: StructureGraph) -> tuple[Formula, EquationSystem, list[str]]:
         operands[u] = (1, 0, names[u]), Var(names[u])  # formula_key of a Var
     for u in order:
         op = g.deco[u].op
-        if op is Op.AND or op is Op.OR:
-            term = _nest(And if op is Op.AND else Or, [operands[v] for v in g.succ[u]])
-        elif op is Op.TOP or op is Op.BOT:
-            term = Const(op is Op.TOP)
+        if op is AND or op is OR:
+            term = _nest(And if op is AND else Or, [operands[v] for v in g.succ[u]])
+        elif op is TOP or op is BOT:
+            term = TRUE if op is TOP else FALSE
         else:
             term = Var(names[u])
         operands[u] = formula_key(term), term
     equations = []
     for u in ranked:
-        d = g.deco[u]
-        sign = Fixpoint.MU if d.rank % 2 == 1 else Fixpoint.NU
+        sign = MU if rank[u] % 2 == 1 else NU
         # by constraints 2 and 3, a node without ▲/▽ has one successor,
         # which _nest returns as it is
-        rhs = _nest(And if d.op is Op.AND else Or, [operands[v] for v in g.succ[u]])
+        rhs = _nest(And if g.deco[u].op is AND else Or, [operands[v] for v in g.succ[u]])
         equations.append(Equation(sign, names[u], rhs))
     return operands[g.init][1], EquationSystem(tuple(equations)), names
 
@@ -329,7 +328,7 @@ def minimize(g: StructureGraph) -> tuple[StructureGraph, list[int]]:
     refined = _refine(g.succ, g.deco)
     number = [-1] * len(g.ids)  # refined block -> block position
     first: list[int] = []  # the first member of each block, in label order
-    for u in sorted(range(len(g.ids)), key=_node_key(g)):
+    for u in _label_order(g.labels):
         if number[refined[u]] < 0:
             number[refined[u]] = len(first)
             first.append(u)
@@ -381,8 +380,8 @@ def to_dependency_graph(es: EquationSystem) -> StructureGraph:
     rhs = {eq.lhs: eq.rhs for eq in es}
     names = sorted(rhs)
     position = {x: i for i, x in enumerate(names)}
-    connective = {AndSet: Op.AND, OrSet: Op.OR}
-    deco = [Decoration(connective.get(rhs[x].__class__, Op.NONE), rank[x]) for x in names]
+    connective = {AndSet: AND, OrSet: OR}
+    deco = [Decoration(connective.get(rhs[x].__class__, NONE), rank[x]) for x in names]
     succ = [sorted(position[y] for y in occ(rhs[x])) for x in names]
     return StructureGraph(position[es.equations[0].lhs], deco, succ, names, names)
 
@@ -404,7 +403,7 @@ def serialize_graph(g: StructureGraph) -> str:
     for u, d in enumerate(g.deco):
         rank = "-" if d.rank is None else d.rank
         lines.append(
-            f"node {g.ids[u]} op={d.op.value} ranks={rank} label={_quote(g.labels[u])}"
+            f"node {g.ids[u]} op={d.op._value_} ranks={rank} label={_quote(g.labels[u])}"
         )
     for a, b in g.edges:
         lines.append(f"edge {g.ids[a]} {g.ids[b]}")

@@ -38,12 +38,13 @@ from itertools import islice
 from .errors import BesError, ParseError, WellFormednessError
 from .syntax import (
     FALSE,
+    MU,
+    NU,
     TRUE,
     And,
     AndSet,
     Equation,
     EquationSystem,
-    Fixpoint,
     Formula,
     Or,
     OrSet,
@@ -139,7 +140,7 @@ class _Parser:
             if tokens[pos] != ";":
                 self.expect(pos, ";")
             pos += 1
-            equations.append(Equation(Fixpoint.MU if sign == "mu" else Fixpoint.NU, name, rhs))
+            equations.append(Equation(MU if sign == "mu" else NU, name, rhs))
         return EquationSystem(tuple(equations))
 
     def whole_formula(self) -> Formula:

@@ -13,15 +13,18 @@ from typing import Mapping
 
 from .errors import BesError
 from .syntax import (
+    FALSE,
+    NU,
+    TRUE,
     And,
     AndSet,
     Const,
     EquationSystem,
-    Fixpoint,
     Formula,
     Or,
     OrSet,
     Var,
+    _spine,
     require_closed,
 )
 
@@ -30,20 +33,25 @@ Assignment = dict
 
 
 def eval_formula(f: Formula, env: Environment) -> bool:
-    if isinstance(f, Const):
-        return f.value
-    if isinstance(f, Var):
+    cls = f.__class__
+    if cls is And or cls is Or:
+        # read the operands left to right, as and/or would: a false one
+        # decides a conjunction and a true one a disjunction
+        f, rights = _spine(f)
+        value = eval_formula(f, env)
+        while rights and (not value) is (cls is Or):
+            value = eval_formula(rights.pop(), env)
+        return value
+    if cls is Var:
         try:
             return env[f.name]
         except KeyError:
             raise BesError(f"variable {f.name} is outside the environment domain")
-    if isinstance(f, And):
-        return eval_formula(f.left, env) and eval_formula(f.right, env)
-    if isinstance(f, Or):
-        return eval_formula(f.left, env) or eval_formula(f.right, env)
-    if isinstance(f, AndSet):
+    if cls is Const:
+        return f.value
+    if cls is AndSet:
         return all(eval_formula(Var(x), env) for x in f.members)
-    if isinstance(f, OrSet):
+    if cls is OrSet:
         return any(eval_formula(Var(x), env) for x in f.members)
     raise TypeError(f"not a formula: {f!r}")
 
@@ -67,7 +75,7 @@ def solve_recursive(es: EquationSystem, env: Environment) -> dict[str, bool]:
         if cached is not None:
             return cached
         eq = es.equations[i]
-        base = eq.sign == Fixpoint.NU
+        base = eq.sign is NU
         inner = go(i + 1, {**env, eq.lhs: base})
         value = eval_formula(eq.rhs, inner)
         result = go(i + 1, {**env, eq.lhs: value})
@@ -86,26 +94,30 @@ def _fold(f: Formula) -> Formula:
     # solver never hides structure the graph pipeline is supposed to see.
     if isinstance(f, And):
         if isinstance(f.left, Const):
-            return f.right if f.left.value else Const(False)
+            return f.right if f.left.value else FALSE
         if isinstance(f.right, Const):
-            return f.left if f.right.value else Const(False)
+            return f.left if f.right.value else FALSE
     if isinstance(f, Or):
         if isinstance(f.left, Const):
-            return Const(True) if f.left.value else f.right
+            return TRUE if f.left.value else f.right
         if isinstance(f.right, Const):
-            return Const(True) if f.right.value else f.left
+            return TRUE if f.right.value else f.left
     return f
 
 
 def _subst(f: Formula, x: str, g: Formula) -> Formula:
-    if isinstance(f, Const):
-        return f
-    if isinstance(f, Var):
+    cls = f.__class__
+    if cls is And or cls is Or:
+        # rebuilt innermost first, folding at every level
+        f, rights = _spine(f)
+        result = _subst(f, x, g)
+        while rights:
+            result = _fold(cls(result, _subst(rights.pop(), x, g)))
+        return result
+    if cls is Var:
         return g if f.name == x else f
-    if isinstance(f, And):
-        return _fold(And(_subst(f.left, x, g), _subst(f.right, x, g)))
-    if isinstance(f, Or):
-        return _fold(Or(_subst(f.left, x, g), _subst(f.right, x, g)))
+    if cls is Const:
+        return f
     if isinstance(f, (AndSet, OrSet)):
         if x not in f.members:
             return f
@@ -133,7 +145,7 @@ def solve_gauss(es: EquationSystem) -> dict[str, bool]:
     eqs = es.equations
     rhss = [eq.rhs for eq in eqs]
     for i in reversed(range(len(eqs))):
-        self_value = Const(eqs[i].sign == Fixpoint.NU)
+        self_value = TRUE if eqs[i].sign is NU else FALSE
         solved = _subst(rhss[i], eqs[i].lhs, self_value)
         rhss[i] = solved
         for j in range(i):

@@ -21,29 +21,52 @@ class Fixpoint(enum.Enum):
     NU = "nu"
 
 
-@dataclass(frozen=True)
+# Loops compare with the members bound once and read ``_value_``: on Python
+# 3.10 and 3.11, ``Fixpoint.MU`` and ``.value`` are Python-level lookups.
+MU, NU = Fixpoint.MU, Fixpoint.NU
+
+# The records are slotted.  The hot ones fill their slots by calling the
+# member descriptors' setters bound below, which costs less than the
+# ``object.__setattr__`` per field of a frozen dataclass's own ``__init__``.
+
+
+@dataclass(frozen=True, slots=True)
 class Const:
     value: bool
 
+    def __init__(self, value: bool):
+        _set_value(self, value)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class Var:
     name: str
 
+    def __init__(self, name: str):
+        _set_name(self, name)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class And:
     left: "Formula"
     right: "Formula"
 
+    def __init__(self, left: "Formula", right: "Formula"):
+        _set_and_left(self, left)
+        _set_and_right(self, right)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class Or:
     left: "Formula"
     right: "Formula"
 
+    def __init__(self, left: "Formula", right: "Formula"):
+        _set_or_left(self, left)
+        _set_or_right(self, right)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class AndSet:
     members: frozenset[str]
 
@@ -52,7 +75,7 @@ class AndSet:
             raise ValueError("n-ary conjunction needs at least one member")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OrSet:
     members: frozenset[str]
 
@@ -63,18 +86,29 @@ class OrSet:
 
 Formula = Union[Const, Var, And, Or, AndSet, OrSet]
 
-TRUE = Const(True)
-FALSE = Const(False)
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Equation:
     sign: Fixpoint
     lhs: str
     rhs: Formula
 
+    def __init__(self, sign: Fixpoint, lhs: str, rhs: Formula):
+        _set_sign(self, sign)
+        _set_lhs(self, lhs)
+        _set_rhs(self, rhs)
 
-@dataclass(frozen=True)
+
+_set_value, _set_name = Const.value.__set__, Var.name.__set__
+_set_and_left, _set_and_right = And.left.__set__, And.right.__set__
+_set_or_left, _set_or_right = Or.left.__set__, Or.right.__set__
+_set_sign, _set_lhs, _set_rhs = Equation.sign.__set__, Equation.lhs.__set__, Equation.rhs.__set__
+
+TRUE = Const(True)
+FALSE = Const(False)
+
+
+@dataclass(frozen=True, slots=True)
 class EquationSystem:
     equations: tuple[Equation, ...]
 
@@ -103,22 +137,27 @@ def system(*equations: Equation) -> EquationSystem:
 # Canonical text form
 
 
+def _spine(f: And | Or) -> tuple[Formula, list[Formula]]:
+    """The leftmost operand of the chain of ``f``'s connective at ``f`` and
+    the other operands, right to left, from one loop down its left spine."""
+    cls, rights = f.__class__, []
+    while f.__class__ is cls:
+        rights.append(f.right)
+        f = f.left
+    return f, rights
+
+
 def format_formula(f: Formula) -> str:
     cls = f.__class__
     if cls is Var:
         return f.name
     if cls is And or cls is Or:
         # a left-nested chain of one connective prints without parentheses,
-        # and every operand off it that is a connective prints inside them:
-        # walk the chain's left spine in a loop and recurse only into the
-        # operands off it
+        # and every operand off it that is a connective prints inside them
         sep = " && " if cls is And else " || "
         left, right = f.left, f.right
         if left.__class__ is cls:
-            rights = [right]
-            while left.__class__ is cls:
-                rights.append(left.right)
-                left = left.left
+            left, rights = _spine(f)
             text = sep.join([
                 f"({format_formula(g)})"
                 if g.__class__ is And or g.__class__ is Or
@@ -143,7 +182,7 @@ def format_formula(f: Formula) -> str:
 
 def print_bes(es: EquationSystem) -> str:
     lines = [
-        f"{eq.sign.value} {eq.lhs} = {format_formula(eq.rhs)};" for eq in es
+        f"{eq.sign._value_} {eq.lhs} = {format_formula(eq.rhs)};" for eq in es
     ]
     return "".join(line + "\n" for line in lines)
 
@@ -211,10 +250,10 @@ def ranks(es: EquationSystem) -> dict[str, int]:
     from the greatest fixed point, up to each variable's equation.
     """
     result = {}
-    sigma = Fixpoint.NU
+    sigma = NU
     r = 0
     for eq in es:
-        if eq.sign != sigma:
+        if eq.sign is not sigma:
             sigma = eq.sign
             r += 1
         result[eq.lhs] = r

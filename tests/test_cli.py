@@ -252,9 +252,15 @@ def test_deep_input_probe(tmp_path, capsys):
     # a 3,000-operand conjunction chain
     chain = tmp_path / "chain.bes"
     chain.write_text("mu X = " + " && ".join(["X"] * 3000) + ";")
-    for command in (("check",), ("graph",), ("minimize",)):
+    for command in (
+        ("check",), ("graph",), ("minimize",),
+        ("solve",), ("solve", "--method", "oracle"), ("verify",),
+    ):
         code, out, err = run(capsys, *command, str(chain))
         assert (code, err) == (0, ""), command
+        if command[0] == "solve":
+            assert out == "X = false\n", command
+    assert out == "PASS: 1 variables verified\n"
     assert "size: 6000" in run(capsys, "check", str(chain))[1]
     # ... and as an operand of a disjunction, which build_graph formats
     for operands in (3000, 10_000):

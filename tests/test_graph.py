@@ -285,6 +285,58 @@ def test_minimize_hand_built_graph():
     )
 
 
+def _old_node_key(labels):
+    # true before false before everything else, then by label, then by position
+    def key(u):
+        label = labels[u]
+        if label in ("true", "false"):
+            return (0, label == "false", ""), u
+        return (1, 0, label), u
+    return key
+
+
+def _old_names(g):
+    # translate's naming, sorted with the explicit key: ranked nodes by rank
+    # and then in label order, then the unranked ones in label order
+    key = _old_node_key(g.labels)
+    ranked = sorted(
+        (u for u, d in enumerate(g.deco) if d.rank is not None),
+        key=lambda u: (g.deco[u].rank, key(u)),
+    )
+    rest = sorted((u for u, d in enumerate(g.deco) if d.rank is None), key=key)
+    names = [""] * len(g.ids)
+    for i, u in enumerate(ranked + rest):
+        names[u] = f"X{i}"
+    return names
+
+
+def test_label_order_with_repeated_constants():
+    # ids out of label order; two ⊤ nodes labelled "true" share a block, and
+    # a ranked node after them is labelled "true" as well
+    g = bm.parse_graph(
+        "sgraph v1\ninit n4\n"
+        'node n0 op=or ranks=1 label="Z"\n'
+        'node n1 op=top ranks=- label="true"\n'
+        'node n2 op=bot ranks=- label="false"\n'
+        'node n3 op=top ranks=- label="true"\n'
+        'node n4 op=and ranks=- label="A"\n'
+        'node n5 op=none ranks=0 label="true"\n'
+        'node n6 op=none ranks=1 label="Y"\n'
+        "edge n0 n2\nedge n0 n6\nedge n4 n0\nedge n4 n1\nedge n5 n5\nedge n6 n5\n"
+    )
+    quotient, block_of = bm.minimize(g)
+    assert block_of == [5, 0, 2, 0, 3, 1, 4]
+    # blocks are numbered in the order their first members take in label order
+    first_seen: dict[int, int] = {}
+    for u in sorted(range(len(g.ids)), key=_old_node_key(g.labels)):
+        first_seen.setdefault(block_of[u], len(first_seen))
+    assert [first_seen[b] for b in block_of] == block_of
+    assert quotient.labels == ["true", "true", "false", "A", "Y", "Z"]
+    assert bm.translate(g)[2] == _old_names(g) == ["X2", "X3", "X5", "X4", "X6", "X0", "X1"]
+    assert bm.translate(quotient)[2] == _old_names(quotient)
+    assert _old_names(quotient) == ["X3", "X0", "X4", "X5", "X1", "X2"]
+
+
 def test_minimize_is_idempotent():
     g = bm.build_graph(bm.fixture("mutex"))
     q1, _ = bm.minimize(g)

@@ -1,5 +1,9 @@
 """Static analysis: bnd/occ, closedness, ranks, sizes, canonical text."""
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
 
 import besmin as bm
@@ -92,6 +96,38 @@ def test_format_formula_precedence():
     assert bm.format_formula(right) == "X && (Y && Z)"
     assert bm.format_formula(AndSet(frozenset({"B", "A"}))) == "AND{A,B}"
     assert bm.format_formula(Const(True)) == "true"
+
+
+def test_records_are_frozen_values():
+    # the records fill their slots by hand; they must still behave as
+    # frozen dataclasses
+    x, y = Var("X"), Var("Y")
+    es = bm.parse_bes("mu X = X && (Y || true); nu Y = AND{X,Y} || false;")
+    for record, field in (
+        (x, "name"), (And(x, y), "left"), (es.equations[0], "rhs"), (es, "equations"),
+    ):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, field, None)
+    built = [
+        And(Var("X"), Or(Var("Y"), Const(True))),
+        Equation(MU, "X", And(Var("X"), Var("Y"))),
+        Var(name="X"),
+    ]
+    again = [
+        And(x, Or(y, bm.parse_formula("true"))),
+        Equation(sign=MU, lhs="X", rhs=And(left=x, right=y)),
+        Var("X"),
+    ]
+    for a, b in zip(built, again):
+        assert a == b and hash(a) == hash(b)
+    assert And(x, y) != Or(x, y)
+    assert repr(Equation(NU, "X", Or(x, Const(False)))) == (
+        "Equation(sign=<Fixpoint.NU: 'nu'>, lhs='X', "
+        "rhs=Or(left=Var(name='X'), right=Const(value=False)))"
+    )
+    assert pickle.loads(pickle.dumps(es)) == es
+    assert copy.deepcopy(es) == es
+    assert bm.print_bes(copy.deepcopy(es)) == bm.print_bes(es)
 
 
 def test_formula_key_orders_constants_first():
