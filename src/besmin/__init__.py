@@ -61,7 +61,7 @@ from .syntax import (
     size,
     system,
 )
-from .transform import hbar, hbar_formula, move_equation, swap_equations, to_srf
+from .transform import hbar, hbar_formula, to_srf
 from .verify import PipelineResult, VerifyResult, pipeline, verify_system
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -9,6 +9,7 @@ back-substitution.
 
 from __future__ import annotations
 
+from functools import reduce
 from typing import Mapping
 
 from .errors import BesError
@@ -29,7 +30,6 @@ from .syntax import (
 )
 
 Environment = Mapping[str, bool]
-Assignment = dict
 
 
 def eval_formula(f: Formula, env: Environment) -> bool:
@@ -118,23 +118,12 @@ def _subst(f: Formula, x: str, g: Formula) -> Formula:
         return g if f.name == x else f
     if cls is Const:
         return f
-    if isinstance(f, (AndSet, OrSet)):
+    if cls is AndSet or cls is OrSet:
         if x not in f.members:
             return f
-        rest = f.members - {x}
-        conj = isinstance(f, AndSet)
-        if isinstance(g, Const):
-            if g.value != conj:
-                return g  # absorbing constant
-            if not rest:
-                return g
-            return type(f)(rest)
-        if isinstance(g, Var):
-            return type(f)(rest | {g.name})
-        if not rest:
-            return g
-        pair = And(g, AndSet(rest)) if conj else Or(g, OrSet(rest))
-        return _fold(pair)
+        # substituted as the left-nested chain of its sorted members
+        chain = reduce(And if cls is AndSet else Or, map(Var, sorted(f.members)))
+        return _subst(chain, x, g)
     raise TypeError(f"not a formula: {f!r}")
 
 

@@ -164,6 +164,19 @@ def format_formula(f: Formula) -> str:
                 else format_formula(g)
                 for g in reversed(rights)
             ])
+        elif right.__class__ is cls and right.left.__class__ is not cls:
+            # a right-nested chain X || (Y || (...)) is walked in a loop,
+            # and its closing parentheses are appended at the end
+            text, depth = "", 0
+            while True:
+                if left.__class__ is And or left.__class__ is Or:
+                    text += f"({format_formula(left)}){sep}("
+                else:
+                    text += format_formula(left) + sep + "("
+                f, depth = right, depth + 1
+                left, right = f.left, f.right
+                if right.__class__ is not cls or right.left.__class__ is cls:
+                    return text + format_formula(f) + ")" * depth
         else:
             text = format_formula(right)
             if right.__class__ is And or right.__class__ is Or:

@@ -1,5 +1,5 @@
-"""Syntax-level transformations: SRF conversion, the binary-connective
-embedding of SRF formulae, and solution-preserving equation reordering."""
+"""Syntax-level transformations: SRF conversion and the binary-connective
+embedding of SRF formulae."""
 
 from __future__ import annotations
 
@@ -20,8 +20,6 @@ from .syntax import (
     bnd,
     is_closed,
     is_srf,
-    occ,
-    ranks,
 )
 
 
@@ -69,21 +67,26 @@ def to_srf(es: EquationSystem) -> EquationSystem:
         return false_name
 
     def leaves(f: Formula, conj: bool, host: str, sign, aux: list) -> list[str]:
-        # collect the member variables of a maximal same-operator block
+        # collect the member variables of a maximal same-operator block,
+        # left to right
         same, other = (And, AndSet) if conj else (Or, OrSet)
-        if isinstance(f, same):
-            return leaves(f.left, conj, host, sign, aux) + leaves(
-                f.right, conj, host, sign, aux
-            )
-        if isinstance(f, other):
-            return sorted(f.members)
-        if isinstance(f, Var):
-            return [f.name]
-        if isinstance(f, Const):
-            return [const_name(f.value)]
-        fresh = names.fresh(host)
-        aux.append(Equation(sign, fresh, srf_rhs(f, fresh, sign, aux)))
-        return [fresh]
+        members, stack = [], [f]
+        while stack:
+            f = stack.pop()
+            if isinstance(f, same):
+                stack.append(f.right)
+                stack.append(f.left)
+            elif isinstance(f, other):
+                members.extend(sorted(f.members))
+            elif isinstance(f, Var):
+                members.append(f.name)
+            elif isinstance(f, Const):
+                members.append(const_name(f.value))
+            else:
+                fresh = names.fresh(host)
+                aux.append(Equation(sign, fresh, srf_rhs(f, fresh, sign, aux)))
+                members.append(fresh)
+        return members
 
     def srf_rhs(f: Formula, host: str, sign, aux: list) -> Formula:
         if isinstance(f, (Var, AndSet, OrSet)):
@@ -122,75 +125,13 @@ def hbar_formula(f: Formula) -> Formula:
     if isinstance(f, Var):
         return f
     if isinstance(f, (AndSet, OrSet)):
-        conj = isinstance(f, AndSet)
-        cls = And if conj else Or
-        members = sorted(f.members)
-        if len(members) == 1:
-            x = Var(members[0])
-            return cls(x, x)
-        least = members[0]
-        rest = type(f)(frozenset(members[1:]))
-        return cls(Var(least), hbar_formula(rest))
+        cls = And if isinstance(f, AndSet) else Or
+        # built from the greatest member, which is duplicated, down to the
+        # least, which splits off first
+        members = sorted(f.members, reverse=True)
+        last = Var(members[0])
+        term = cls(last, last)
+        for x in members[1:]:
+            term = cls(Var(x), term)
+        return term
     raise BesError("formula is not in SRF syntax")
-
-
-def move_equation(
-    es: EquationSystem,
-    source: int,
-    target: int,
-    new_sign: Optional[Fixpoint] = None,
-) -> EquationSystem:
-    """Move the equation at ``source`` so it ends up at index ``target``.
-
-    Sound per the moving lemma: apart from the defined variable itself,
-    the right-hand side may not mention anything bound at or after the
-    source position (when moving right) or the target position (when
-    moving left).  A sign change additionally requires the equation not
-    to be self-referential.
-    """
-    eqs = list(es.equations)
-    if not (0 <= source < len(eqs)) or not (0 <= target < len(eqs)):
-        raise IndexError("equation index out of range")
-    eq = eqs[source]
-    sign = new_sign if new_sign is not None else eq.sign
-    if source == target and sign == eq.sign:
-        return es
-    occurring = occ(eq.rhs)
-    if sign != eq.sign and eq.lhs in occurring:
-        raise BesError(
-            f"cannot change the sign of the equation for {eq.lhs}: "
-            f"{eq.lhs} occurs in its own right-hand side"
-        )
-    low, high = min(source, target), max(source, target)
-    blocked = set()
-    for i in range(low, len(eqs)):
-        if i == source:
-            continue
-        blocked.add(eqs[i].lhs)
-    offending = sorted((occurring - {eq.lhs}) & blocked)
-    if offending:
-        raise BesError(
-            f"cannot move the equation for {eq.lhs}: it depends on "
-            f"{', '.join(offending)}"
-        )
-    del eqs[source]
-    eqs.insert(target, Equation(sign, eq.lhs, eq.rhs))
-    return EquationSystem(tuple(eqs))
-
-
-def swap_equations(es: EquationSystem, i: int, j: int) -> EquationSystem:
-    """Exchange two equations of equal rank (solution-preserving)."""
-    eqs = list(es.equations)
-    if not (0 <= i < len(eqs)) or not (0 <= j < len(eqs)):
-        raise IndexError("equation index out of range")
-    if i == j:
-        return es
-    rank = ranks(es)
-    ri, rj = rank[eqs[i].lhs], rank[eqs[j].lhs]
-    if ri != rj:
-        raise BesError(
-            f"cannot swap equations of unequal rank: "
-            f"rank({eqs[i].lhs}) = {ri}, rank({eqs[j].lhs}) = {rj}"
-        )
-    eqs[i], eqs[j] = eqs[j], eqs[i]
-    return EquationSystem(tuple(eqs))

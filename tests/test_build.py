@@ -151,6 +151,8 @@ def test_build_srf_graph():
     assert bm.is_bessy(g) == []
     with pytest.raises(bm.BesError):
         bm.build_srf_graph(bm.parse_bes("mu X = X && X;"))
+    with pytest.raises(bm.BesError, match="formula is not in SRF syntax"):
+        bm.build_srf_graph(es, And(Var("X"), Var("Y")))
 
 
 def test_reduce_graph():
@@ -196,6 +198,9 @@ def test_normalise_unranked_cycle_rejected():
     b = Decoration(Op.OR)
     g = graph("a", {"a": a, "b": b}, [("a", "b"), ("b", "a")])
     with pytest.raises(bm.UnrankedCycleError, match="cycle of unranked nodes: a -> b"):
+        bm.normalise_graph(g)
+    g = graph("a", {"a": Decoration(Op.NONE, 0), "b": a}, [("a", "a")])
+    with pytest.raises(bm.BesError, match="unranked node 'b' has no successors"):
         bm.normalise_graph(g)
 
 

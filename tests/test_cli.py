@@ -40,6 +40,13 @@ def test_check_empty_file(tmp_path, capsys):
     assert "empty system" in out
 
 
+def test_solve_empty_file(tmp_path, capsys):
+    path = tmp_path / "empty.bes"
+    path.write_text("")
+    for method in ("gauss", "oracle"):
+        assert run(capsys, "solve", "--method", method, str(path)) == (0, "", ""), method
+
+
 def test_check_parse_error_exit_1(tmp_path, capsys):
     path = tmp_path / "bad.bes"
     path.write_text("mu X = ;")
@@ -239,6 +246,27 @@ def test_verify_failure_exit_3(monkeypatch, capsys):
     assert not bm.verify_system(bm.fixture("paper-application")).ok
 
 
+def test_verify_names_the_diverging_variable(monkeypatch, tmp_path, capsys):
+    solve_gauss = bm.solve_gauss
+
+    def flipped(es):
+        # the minimised system binds X0 first; the original binds X
+        solution = solve_gauss(es)
+        if es.equations[0].lhs == "X0":
+            solution["X0"] = not solution["X0"]
+        return solution
+
+    monkeypatch.setattr(besmin.verify, "solve_gauss", flipped)
+    path = tmp_path / "in.bes"
+    path.write_text("mu X = X && Y; nu Y = Y;")
+    assert run(capsys, "verify", str(path)) == (
+        3,
+        "FAIL:\n  X (-> X0): gauss=false, oracle=false, "
+        "minimised gauss=true, minimised oracle=false\n",
+        "",
+    )
+
+
 def test_deep_input_probe(tmp_path, capsys):
     # 10,000 nested parentheses read like none at all
     flat = tmp_path / "flat.bes"
@@ -268,6 +296,16 @@ def test_deep_input_probe(tmp_path, capsys):
         for command in (("graph",), ("minimize",), ("minimize", "--emit", "bes")):
             code, out, err = run(capsys, *command, str(chain))
             assert (code, err) == (0, ""), (operands, command)
+    # a hub over 3,000 variables, which translate nests to the right
+    hub = tmp_path / "hub.bes"
+    hub.write_text(
+        "nu H = " + " || ".join(f"X{i}" for i in range(3000)) + ";\n"
+        + "".join(f"nu X{i} = X{i + 1} && X{i + 1};\n" for i in range(3000))
+        + "nu X3000 = false;\n"
+    )
+    code, out, err = run(capsys, "minimize", str(hub), "--emit", "bes")
+    assert (code, err) == (0, "")
+    assert "equations: 3002" in out
     # X && (Y || (X && ...)) nested 400 levels: one unranked node per level
     term = "X"
     for level in range(400):

@@ -52,6 +52,11 @@ def test_is_bessy_violations():
         [("a", "a"), ("b", "b")],
     )
     assert any("constraint 4" in v for v in bm.is_bessy(g))
+    # no rank 0 or 1
+    g = graph("a", {"a": Decoration(Op.NONE, 2)}, [("a", "a")])
+    assert bm.is_bessy(g) == [
+        "constraint 4: no node carries rank 0 or 1 (minimum rank is 2)"
+    ]
     # unranked cycle
     g = graph(
         "a",
@@ -365,8 +370,13 @@ def test_dependency_graph_matches_srf_structure_graph():
         d = bm.to_dependency_graph(es)
         assert set(d.ids) == bm.bnd(es) and d.ids[d.init] == es.equations[0].lhs
         assert relabelled(bm.build_srf_graph(es)) == d
-    with pytest.raises(bm.BesError):
-        bm.to_dependency_graph(bm.parse_bes("mu X = X && X;"))
+    for es, message in (
+        (bm.parse_bes("mu X = X && X;"), "SRF only"),
+        (bm.EquationSystem(()), "empty system"),
+        (bm.parse_bes("mu X = OR{Y};"), "closed systems only"),
+    ):
+        with pytest.raises(bm.BesError, match=message):
+            bm.to_dependency_graph(es)
 
 
 def test_serialize_parse_round_trip():

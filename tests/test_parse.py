@@ -158,3 +158,9 @@ def test_random_parse_print_round_trip():
         assert bm.parse_bes(bm.print_bes(es)) == es
         srf = bm.gen_srf_bes(bm.GenConfig(variable_count=5, seed=seed))
         assert bm.parse_bes(bm.print_bes(srf)) == srf
+
+
+def test_unknown_fixture_lists_the_known_ones():
+    known = "example-structure-graph, mutex, paper-application"
+    with pytest.raises(bm.BesError, match=f"unknown fixture 'nope'; available: {known}$"):
+        bm.fixture("nope")

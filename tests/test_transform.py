@@ -1,10 +1,9 @@
-"""Syntax transformations: SRF conversion, the binary embedding, reordering."""
+"""Syntax transformations: SRF conversion and the binary embedding."""
 
 import pytest
 
 import besmin as bm
 from besmin import And, AndSet, Fixpoint, Or, OrSet, Var
-from conftest import oracle
 
 MU, NU = Fixpoint.MU, Fixpoint.NU
 
@@ -75,6 +74,20 @@ def test_hbar_formula():
         bm.hbar_formula(bm.Const(True))
 
 
+def test_long_blocks_do_not_recurse():
+    chain = " && ".join(["X"] * 3000)
+    srf = bm.to_srf(bm.parse_bes(f"mu X = {chain}; nu Y = Y || X;"))
+    assert bm.print_bes(srf) == "mu X = AND{X};\nnu Y = OR{X,Y};\n"
+    names = sorted(f"X{i}" for i in range(3000))
+    f = bm.hbar_formula(OrSet(frozenset(names)))
+    levels, g = 0, f
+    while isinstance(g, Or):
+        levels, g = levels + 1, g.right
+    assert levels == 3000
+    text = " || (".join(names) + " || " + names[-1] + ")" * 2999
+    assert bm.format_formula(f) == text
+
+
 def test_hbar_embedding_bisimilar():
     for seed in range(30):
         es = bm.gen_srf_bes(bm.GenConfig(variable_count=5, seed=seed))
@@ -87,70 +100,3 @@ def test_hbar_requires_srf():
     with pytest.raises(bm.BesError):
         bm.hbar(bm.parse_bes("mu X = X && X;"))
 
-
-def test_move_equation_sound_case():
-    # the moved equation's rhs only mentions variables bound strictly
-    # before both positions, so every solution is preserved
-    es = bm.parse_bes("nu A = A; mu X = A; nu B = B; mu C = B && A;")
-    moved = bm.move_equation(es, 1, 3)
-    assert [eq.lhs for eq in moved] == ["A", "B", "C", "X"]
-    assert bm.solve_gauss(moved) == bm.solve_gauss(es)
-    assert oracle(moved) == oracle(es)
-
-
-def test_move_equation_sign_change():
-    es = bm.parse_bes("nu A = A; mu X = A;")
-    changed = bm.move_equation(es, 1, 1, new_sign=bm.Fixpoint.NU)
-    assert changed.equations[1].sign is NU
-    assert bm.solve_gauss(changed) == bm.solve_gauss(es)
-    # self-referential equations cannot change sign
-    with pytest.raises(bm.BesError):
-        bm.move_equation(bm.parse_bes("mu X = X;"), 0, 0, new_sign=NU)
-
-
-def test_move_equation_rejects_unsound_moves():
-    # moving X past Y would flip the solution from all false to all true
-    es = bm.parse_bes("mu X = Z; nu Y = X; nu Z = Y;")
-    assert not any(oracle(es).values())
-    with pytest.raises(bm.BesError):
-        bm.move_equation(es, 0, 1)
-    # even a dependency on a variable bound after the source blocks a
-    # rightward move
-    es2 = bm.parse_bes("nu X = Z; mu Y = Y; nu Z = Z;")
-    with pytest.raises(bm.BesError):
-        bm.move_equation(es2, 0, 1)
-
-
-def test_move_equation_identity_and_bounds():
-    es = bm.parse_bes("mu X = X; nu Y = Y;")
-    assert bm.move_equation(es, 0, 0) is es
-    with pytest.raises(IndexError):
-        bm.move_equation(es, 0, 2)
-
-
-def test_swap_equations():
-    es = bm.parse_bes("mu X = X; mu Y = X; nu Z = Y;")
-    swapped = bm.swap_equations(es, 0, 1)
-    assert [eq.lhs for eq in swapped] == ["Y", "X", "Z"]
-    assert bm.solve_gauss(swapped) == bm.solve_gauss(es)
-    with pytest.raises(bm.BesError):
-        bm.swap_equations(es, 0, 2)  # rank 1 vs rank 2
-    assert bm.swap_equations(es, 1, 1) is es
-    with pytest.raises(IndexError):
-        bm.swap_equations(es, 0, 5)
-
-
-def test_swap_equal_rank_preserves_solutions_randomly():
-    checked = 0
-    for seed in range(40):
-        es = bm.gen_bes(bm.GenConfig(variable_count=5, seed=seed))
-        rank_map = bm.ranks(es)
-        eqs = es.equations
-        for i in range(len(eqs)):
-            for j in range(i + 1, len(eqs)):
-                if rank_map[eqs[i].lhs] != rank_map[eqs[j].lhs]:
-                    continue
-                swapped = bm.swap_equations(es, i, j)
-                assert bm.solve_gauss(swapped) == bm.solve_gauss(es)
-                checked += 1
-    assert checked > 10
