@@ -251,7 +251,8 @@ def _refine(succs: list[list[int]], keys: list) -> list[int]:
     round re-signs only the predecessors of the parts that the last round
     split off, leaving out the largest part of each split block
     (Hopcroft's "all but the largest" trick, as Paige & Tarjan 1987 and
-    Valmari 2009 use it).  The members of a block that are not re-signed
+    Valmari 2009 use it), and leaving out the members of blocks of one,
+    which cannot split.  The members of a block that are not re-signed
     shared a signature the round before and reach no part of a split
     block but the one left out, so they still share one and stay together;
     a re-signed member reaches a part they do not, so it never joins them.
@@ -291,7 +292,8 @@ def _refine(succs: list[list[int]], keys: list) -> list[int]:
         block_of = block.__getitem__
         groups: defaultdict = defaultdict(list)
         for u in touched:
-            groups[block[u], frozenset(map(block_of, succs[u]))].append(u)
+            if size[block[u]] > 1:
+                groups[block[u], frozenset(map(block_of, succs[u]))].append(u)
         parts: dict[int, list[list[int]]] = {}
         for (b, _), us in groups.items():
             parts.setdefault(b, []).append(us)

@@ -20,6 +20,7 @@ from .syntax import (
     And,
     AndSet,
     Const,
+    Equation,
     EquationSystem,
     Formula,
     Or,
@@ -62,27 +63,28 @@ def solve_recursive(es: EquationSystem, env: Environment) -> dict[str, bool]:
     Works for open systems given a total environment; for closed systems
     the restriction to the bound variables is the solution.
     """
+    return dict(_solve_from(es.equations, 0, dict(env), {}))
 
-    # ``go`` is a pure function of its arguments, so identical calls (which
-    # the literal recursion produces in abundance) can share one result.
-    memo: dict[tuple[int, frozenset], dict[str, bool]] = {}
 
-    def go(i: int, env: dict[str, bool]) -> dict[str, bool]:
-        if i == len(es.equations):
-            return env
-        key = (i, frozenset(env.items()))
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        eq = es.equations[i]
-        base = eq.sign is NU
-        inner = go(i + 1, {**env, eq.lhs: base})
-        value = eval_formula(eq.rhs, inner)
-        result = go(i + 1, {**env, eq.lhs: value})
-        memo[key] = result
-        return result
-
-    return dict(go(0, dict(env)))
+def _solve_from(
+    equations: tuple[Equation, ...], i: int, env: dict[str, bool], memo: dict
+) -> dict[str, bool]:
+    # A pure function of ``i`` and ``env``, so identical calls (which the
+    # literal recursion produces in abundance) share one result.  It is not
+    # a closure: one that called itself would keep ``memo`` in a reference
+    # cycle, which only the cyclic collector frees.
+    if i == len(equations):
+        return env
+    key = (i, frozenset(env.items()))
+    cached = memo.get(key)
+    if cached is not None:
+        return cached
+    eq = equations[i]
+    inner = _solve_from(equations, i + 1, {**env, eq.lhs: eq.sign is NU}, memo)
+    value = eval_formula(eq.rhs, inner)
+    result = _solve_from(equations, i + 1, {**env, eq.lhs: value}, memo)
+    memo[key] = result
+    return result
 
 
 # ---------------------------------------------------------------------------

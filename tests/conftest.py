@@ -2,7 +2,19 @@
 
 from __future__ import annotations
 
+import gc
+
+import pytest
+
 import besmin as bm
+
+
+@pytest.fixture
+def collector():
+    """Put the cyclic collector back as it was before the test."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
 
 
 def oracle(es: bm.EquationSystem) -> dict[str, bool]:
@@ -26,6 +38,15 @@ def graph(init, deco, edges, labels=None) -> bm.StructureGraph:
         [labels[u] for u in ids],
         ids,
     )
+
+
+def chain(links: int) -> str:
+    """``nu X{i} = X{i+1} && X{i+1}`` for each link, ending in ``false``.
+
+    Nothing merges: ``X{i}`` is ``links - i`` links away from ``false``.
+    """
+    body = "".join(f"nu X{i} = X{i + 1} && X{i + 1};\n" for i in range(links))
+    return body + f"nu X{links} = false;\n"
 
 
 def by_label(g: bm.StructureGraph) -> dict[str, int]:

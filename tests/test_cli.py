@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, output shapes, exit codes."""
 
+import gc
 import hashlib
 import importlib
 import importlib.metadata
@@ -15,6 +16,7 @@ import pytest
 import besmin as bm
 import besmin.verify
 from besmin.cli import main
+from conftest import chain
 
 
 def run(capsys, *argv):
@@ -265,6 +267,83 @@ def test_verify_names_the_diverging_variable(monkeypatch, tmp_path, capsys):
         "minimised gauss=true, minimised oracle=false\n",
         "",
     )
+
+
+def test_main_pauses_and_restores_the_collector(monkeypatch, tmp_path, capsys, collector):
+    open_system = tmp_path / "open.bes"
+    open_system.write_text("mu X = Y;")
+    during = []
+
+    def build_graph(es, formula=None):
+        during.append(gc.isenabled())
+        return bm.build_graph(es, formula)
+
+    monkeypatch.setattr(besmin.cli, "build_graph", build_graph)
+    for enabled in (True, False):
+        (gc.enable if enabled else gc.disable)()
+        for argv, expected in (
+            (("graph", "--fixture", "mutex"), 0),
+            (("check", "/nonexistent/input.bes"), 1),
+            (("solve", str(open_system)), 2),
+        ):
+            assert run(capsys, *argv)[0] == expected, argv
+            assert gc.isenabled() is enabled, argv
+        with monkeypatch.context() as m:
+            m.setattr(besmin.verify, "bisimilar", lambda g, h: False)
+            assert run(capsys, "verify", "--fixture", "mutex")[0] == 3
+        assert gc.isenabled() is enabled
+        with monkeypatch.context() as m:
+            m.setattr(besmin.cli, "minimize", lambda g: 1 / 0)
+            with pytest.raises(ZeroDivisionError):
+                main(["minimize", "--fixture", "mutex"])
+        assert gc.isenabled() is enabled
+        with pytest.raises(SystemExit):
+            main(["no-such-command"])
+        assert gc.isenabled() is enabled
+    assert during == [False] * 4  # graph and minimize, in both rounds
+
+
+def test_cyclic_garbage_does_not_grow_with_the_input(tmp_path, capsys, collector):
+    # main pauses the collector, which leaves memory bounded only while a
+    # command's cyclic garbage is a fixed amount: the argument parser's
+    def cyclic_garbage(*argv):
+        gc.collect()
+        gc.disable()
+        code = main(list(argv))
+        count = gc.collect()
+        gc.enable()
+        capsys.readouterr()
+        return code, count
+
+    def write(name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        return str(path)
+
+    sizes = (300, 3000)
+    chains = [write(f"chain-{n}.bes", chain(n)) for n in sizes]
+    # failures raised deep in a command, after it has read the whole input
+    open_chains = [write(f"open-{n}.bes", chain(n) + "mu Z = Q;\n") for n in sizes]
+    bad_chains = [write(f"bad-{n}.bes", chain(n) + "mu Z = ;\n") for n in sizes]
+    small = [
+        write(f"random-{n}.bes", bm.print_bes(bm.gen_bes(bm.GenConfig(variable_count=n, seed=1))))
+        for n in (4, 8)
+    ]
+    for command, paths, expected in (
+        (("check",), chains, 0),
+        (("graph",), chains, 0),
+        (("minimize",), chains, 0),
+        (("minimize", "--emit", "bes"), chains, 0),
+        (("solve",), chains, 0),
+        (("verify",), small, 0),
+        (("solve", "--method", "oracle"), small, 0),
+        (("solve",), open_chains, 2),
+        (("minimize", "--emit", "bes"), open_chains, 2),
+        (("check",), bad_chains, 1),
+    ):
+        results = [cyclic_garbage(*command, path) for path in paths]
+        assert [code for code, _ in results] == [expected] * 2, command
+        assert results[0][1] == results[1][1], (command, results)
 
 
 def test_deep_input_probe(tmp_path, capsys):

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 import besmin as bm
 import besmin.graph
 from besmin import Decoration, Op, StructureGraph
-from conftest import by_label, graph, relabelled
+from conftest import by_label, chain, graph, relabelled
 
 
 def test_structure_graph_validation():
@@ -224,7 +224,8 @@ def refinement_inputs(draw):
     n = draw(st.integers(min_value=0, max_value=12))
     nodes = st.integers(min_value=0, max_value=max(n - 1, 0))
     succs = [sorted(draw(st.sets(nodes, max_size=3))) for _ in range(n)]
-    keys = draw(st.lists(st.sampled_from("abc"), min_size=n, max_size=n))
+    # enough keys that blocks of one member, which are never re-signed, are common
+    keys = draw(st.lists(st.sampled_from("abcdefgh"), min_size=n, max_size=n))
     return succs, keys
 
 
@@ -235,14 +236,8 @@ def test_refine_matches_the_naive_rounds(case):
     assert besmin.graph._refine(succs, keys) == _naive_refine(succs, keys)
 
 
-def _chain(links: int) -> str:
-    # nothing merges: X{i} is i links away from false
-    body = "".join(f"nu X{i} = X{i + 1} && X{i + 1};\n" for i in range(links))
-    return body + f"nu X{links} = false;\n"
-
-
 def test_minimize_long_chain():
-    g = bm.build_graph(bm.parse_bes(_chain(4000)))
+    g = bm.build_graph(bm.parse_bes(chain(4000)))
     start = time.perf_counter()
     quotient, _ = bm.minimize(g)
     assert time.perf_counter() - start < 5
@@ -252,7 +247,7 @@ def test_minimize_long_chain():
 def test_minimize_hub_over_a_long_chain():
     # H reaches every link, so it is re-signed once per round
     hub = " || ".join(f"X{i}" for i in range(4000))
-    g = bm.build_graph(bm.parse_bes(f"nu H = {hub};\n" + _chain(4000)))
+    g = bm.build_graph(bm.parse_bes(f"nu H = {hub};\n" + chain(4000)))
     start = time.perf_counter()
     quotient, _ = bm.minimize(g)
     assert time.perf_counter() - start < 10

@@ -1,5 +1,7 @@
 """Solvers: the recursive oracle, Gauss elimination, and their agreement."""
 
+import gc
+
 import pytest
 
 import besmin as bm
@@ -41,6 +43,15 @@ def test_oracle_on_open_system_uses_environment():
     es = bm.parse_bes("mu X = Y;")
     assert bm.solve_recursive(es, {"Y": True})["X"] is True
     assert bm.solve_recursive(es, {"Y": False})["X"] is False
+
+
+def test_oracle_leaves_no_cyclic_garbage(collector):
+    # its memo grows with the system, so reference counting must free it
+    es = bm.gen_bes(bm.GenConfig(variable_count=12, seed=1))
+    gc.collect()
+    gc.disable()
+    bm.solve_recursive(es, {})
+    assert gc.collect() == 0
 
 
 def test_gauss_rejects_open_or_empty():
