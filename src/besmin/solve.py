@@ -26,7 +26,6 @@ from .syntax import (
     Or,
     OrSet,
     Var,
-    _spine,
     require_closed,
 )
 
@@ -36,13 +35,16 @@ Environment = Mapping[str, bool]
 def eval_formula(f: Formula, env: Environment) -> bool:
     cls = f.__class__
     if cls is And or cls is Or:
-        # read the operands left to right, as and/or would: a false one
-        # decides a conjunction and a true one a disjunction
-        f, rights = _spine(f)
-        value = eval_formula(f, env)
-        while rights and (not value) is (cls is Or):
-            value = eval_formula(rights.pop(), env)
-        return value
+        # read the block's operands left to right, as and/or would: a false
+        # one decides a conjunction and a true one a disjunction
+        decisive, stack = cls is Or, [f.right, f.left]
+        while stack:
+            g = stack.pop()
+            if g.__class__ is cls:
+                stack += g.right, g.left
+            elif eval_formula(g, env) == decisive:
+                return decisive
+        return not decisive
     if cls is Var:
         try:
             return env[f.name]
@@ -110,11 +112,17 @@ def _fold(f: Formula) -> Formula:
 def _subst(f: Formula, x: str, g: Formula) -> Formula:
     cls = f.__class__
     if cls is And or cls is Or:
-        # rebuilt innermost first, folding at every level
-        f, rights = _spine(f)
-        result = _subst(f, x, g)
-        while rights:
-            result = _fold(cls(result, _subst(rights.pop(), x, g)))
+        # the block's operands, substituted left to right and folded into a
+        # left-nested chain
+        result, stack = None, [f.right, f.left]
+        while stack:
+            h = stack.pop()
+            if h.__class__ is cls:
+                stack += h.right, h.left
+            elif result is None:
+                result = _subst(h, x, g)
+            else:
+                result = _fold(cls(result, _subst(h, x, g)))
         return result
     if cls is Var:
         return g if f.name == x else f

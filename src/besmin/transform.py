@@ -3,9 +3,7 @@ embedding of SRF formulae."""
 
 from __future__ import annotations
 
-from typing import Optional
-
-from .errors import BesError, OpenSystemError
+from .errors import BesError
 from .syntax import (
     And,
     AndSet,
@@ -18,23 +16,9 @@ from .syntax import (
     OrSet,
     Var,
     bnd,
-    is_closed,
     is_srf,
+    require_closed,
 )
-
-
-class _Names:
-    def __init__(self, taken: set[str]):
-        self.taken = set(taken)
-
-    def fresh(self, base: str) -> str:
-        k = 1
-        candidate = f"{base}_{k}"
-        while candidate in self.taken:
-            k += 1
-            candidate = f"{base}_{k}"
-        self.taken.add(candidate)
-        return candidate
 
 
 def to_srf(es: EquationSystem) -> EquationSystem:
@@ -48,66 +32,66 @@ def to_srf(es: EquationSystem) -> EquationSystem:
     """
     if not es.equations:
         raise BesError("cannot convert the empty system to SRF")
-    if not is_closed(es):
-        raise OpenSystemError("SRF conversion requires a closed system")
+    require_closed(es)
     if is_srf(es):
         return es
-    names = _Names(bnd(es))
-    true_name: Optional[str] = None
-    false_name: Optional[str] = None
+    taken = bnd(es)
 
-    def const_name(value: bool) -> str:
-        nonlocal true_name, false_name
-        if value:
-            if true_name is None:
-                true_name = names.fresh("TRUE")
-            return true_name
-        if false_name is None:
-            false_name = names.fresh("FALSE")
-        return false_name
+    def fresh(base: str) -> str:
+        k = 1
+        while f"{base}_{k}" in taken:
+            k += 1
+        taken.add(f"{base}_{k}")
+        return f"{base}_{k}"
 
-    def leaves(f: Formula, conj: bool, host: str, sign, aux: list) -> list[str]:
-        # collect the member variables of a maximal same-operator block,
-        # left to right
-        same, other = (And, AndSet) if conj else (Or, OrSet)
-        members, stack = [], [f]
-        while stack:
-            f = stack.pop()
-            if isinstance(f, same):
-                stack.append(f.right)
-                stack.append(f.left)
-            elif isinstance(f, other):
-                members.extend(sorted(f.members))
-            elif isinstance(f, Var):
-                members.append(f.name)
-            elif isinstance(f, Const):
-                members.append(const_name(f.value))
-            else:
-                fresh = names.fresh(host)
-                aux.append(Equation(sign, fresh, srf_rhs(f, fresh, sign, aux)))
-                members.append(fresh)
-        return members
+    consts: dict[bool, str] = {}  # named at first use, in reading order
 
-    def srf_rhs(f: Formula, host: str, sign, aux: list) -> Formula:
-        if isinstance(f, (Var, AndSet, OrSet)):
-            return f
-        if isinstance(f, Const):
-            return Var(const_name(f.value))
-        conj = isinstance(f, And)
-        members = leaves(f, conj, host, sign, aux)
-        cls = AndSet if conj else OrSet
-        return cls(frozenset(members))
+    def constant(value: bool) -> str:
+        if value not in consts:
+            consts[value] = fresh("TRUE" if value else "FALSE")
+        return consts[value]
 
     out: list[Equation] = []
     for eq in es:
+        sign, rhs = eq.sign, eq.rhs
+        if rhs.__class__ is Const:
+            rhs = Var(constant(rhs.value))
+        if rhs.__class__ is not And and rhs.__class__ is not Or:
+            out.append(Equation(sign, eq.lhs, rhs))
+            continue
+        # A frame is one block: its variable, its connective, the operands
+        # still to read (the next one last) and the members read so far.
+        # A block's equation follows those of the blocks it holds; the
+        # host's finishes last and goes first.
+        stack = [(eq.lhs, rhs.__class__, [rhs], [])]
         aux: list[Equation] = []
-        new_rhs = srf_rhs(eq.rhs, eq.lhs, eq.sign, aux)
-        out.append(Equation(eq.sign, eq.lhs, new_rhs))
-        out.extend(aux)
-    if true_name is not None:
-        out.append(Equation(Fixpoint.NU, true_name, Var(true_name)))
-    if false_name is not None:
-        out.append(Equation(Fixpoint.MU, false_name, Var(false_name)))
+        while stack:
+            x, cls, todo, members = stack[-1]
+            same_set = AndSet if cls is And else OrSet
+            if not todo:
+                stack.pop()
+                aux.append(Equation(sign, x, same_set(frozenset(members))))
+                continue
+            f = todo.pop()
+            if f.__class__ is cls:
+                todo += f.right, f.left
+            elif f.__class__ is same_set:
+                members += f.members
+            elif f.__class__ is Var:
+                members.append(f.name)
+            elif f.__class__ is Const:
+                members.append(constant(f.value))
+            else:
+                members.append(fresh(x))
+                if f.__class__ is And or f.__class__ is Or:
+                    stack.append((members[-1], f.__class__, [f], []))
+                else:
+                    aux.append(Equation(sign, members[-1], f))
+        out.append(aux.pop())
+        out += aux
+    for value, fixpoint in ((True, Fixpoint.NU), (False, Fixpoint.MU)):
+        if value in consts:
+            out.append(Equation(fixpoint, consts[value], Var(consts[value])))
     return EquationSystem(tuple(out))
 
 

@@ -39,8 +39,6 @@ def pipeline(es: EquationSystem) -> PipelineResult:
 @dataclass(frozen=True)
 class VerifyResult:
     ok: bool
-    variable_map: dict[str, str]  # original variable -> minimised variable
-    minimised_system: EquationSystem
     mismatches: list[str]
 
 
@@ -74,9 +72,4 @@ def verify_system(es: EquationSystem) -> VerifyResult:
         if len(set(values.values())) > 1:
             detail = ", ".join(f"{k}={str(v).lower()}" for k, v in values.items())
             mismatches.append(f"{x} (-> {image}): {detail}")
-    return VerifyResult(
-        ok=not mismatches,
-        variable_map=variable_map,
-        minimised_system=m.system,
-        mismatches=mismatches,
-    )
+    return VerifyResult(ok=not mismatches, mismatches=mismatches)

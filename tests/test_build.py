@@ -188,9 +188,16 @@ def test_verify_finds_variables_by_rank_not_by_label():
     for es in (bm.system(y, z), bm.system(z, y)):
         result = bm.verify_system(es)
         assert result.ok, result.mismatches
-        minimised = bm.solve_gauss(result.minimised_system)
+        m = bm.pipeline(es)
+        # each variable is the ranked node of its name, mapped to its block
+        image = {
+            label: m.names[m.block_of[u]]
+            for u, (d, label) in enumerate(zip(m.graph.deco, m.graph.labels))
+            if d.rank is not None
+        }
+        minimised = bm.solve_gauss(m.system)
         original = bm.solve_gauss(es)
-        assert {x: minimised[result.variable_map[x]] for x in original} == original
+        assert {x: minimised[image[x]] for x in original} == original
 
 
 def test_normalise_unranked_cycle_rejected():

@@ -223,7 +223,7 @@ def test_verify_checks_the_system_minimize_prints(tmp_path, capsys):
     code, out, _ = run(capsys, "minimize", "--emit", "bes", str(path))
     printed = bm.parse_bes(out.partition("---\n")[0])
     assert code == 0 and len(printed.equations) == 10
-    assert bm.verify_system(bm.parse_bes(path.read_text())).minimised_system == printed
+    assert bm.pipeline(bm.parse_bes(path.read_text())).system == printed
 
 
 def test_verify_empty_system_exit_2(tmp_path, capsys):

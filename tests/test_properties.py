@@ -3,7 +3,7 @@
 from hypothesis import given, settings, strategies as st
 
 import besmin as bm
-from besmin import And, Const, Equation, EquationSystem, Fixpoint, Or, Var
+from besmin import And, AndSet, Const, Equation, EquationSystem, Fixpoint, Or, OrSet, Var
 from conftest import oracle
 
 NAMES = ["P", "Q", "R", "S"]
@@ -83,6 +83,10 @@ def test_minimize_shrinks_and_preserves_solution(es):
 @settings(max_examples=50, deadline=None)
 @given(systems())
 def test_srf_conversion_properties(es):
+    check_srf_conversion(es)
+
+
+def check_srf_conversion(es):
     srf = bm.to_srf(es)
     assert bm.is_srf(srf) and bm.is_closed(srf)
     original = bm.solve_gauss(es)
@@ -95,10 +99,37 @@ def test_srf_conversion_properties(es):
     assert originals == sorted(originals)
 
 
+@st.composite
+def systems_with_set_atoms(draw):
+    # binary formulas whose leaves include AND{...} and OR{...} atoms
+    count = draw(st.integers(min_value=1, max_value=4))
+    names = NAMES[:count]
+    members = st.frozensets(st.sampled_from(names), min_size=1)
+    leaves = st.one_of(
+        st.sampled_from([Const(True), Const(False)]),
+        st.builds(Var, st.sampled_from(names)),
+        st.builds(AndSet, members),
+        st.builds(OrSet, members),
+    )
+    rhs = st.recursive(
+        leaves,
+        lambda sub: st.one_of(st.builds(And, sub, sub), st.builds(Or, sub, sub)),
+        max_leaves=8,
+    )
+    signs = st.sampled_from([Fixpoint.MU, Fixpoint.NU])
+    return EquationSystem(tuple(Equation(draw(signs), x, draw(rhs)) for x in names))
+
+
+@settings(max_examples=50, deadline=None)
+@given(systems_with_set_atoms())
+def test_srf_conversion_with_set_atoms(es):
+    check_srf_conversion(es)
+
+
 @settings(max_examples=40, deadline=None)
 @given(systems())
 def test_size_monotone_under_minimisation(es):
-    minimised = bm.verify_system(es).minimised_system
+    minimised = bm.pipeline(es).system
     assert len(minimised.equations) <= len(es.equations)
     assert bm.size(minimised) <= bm.size(es)
     _, normalised, _ = bm.translate(

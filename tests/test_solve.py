@@ -100,3 +100,18 @@ def test_oracle_environment_independence_on_closed_systems():
 def test_solutions_in_binding_order():
     es = bm.fixture("mutex")
     assert list(bm.solve_gauss(es)) == [eq.lhs for eq in es]
+
+
+def test_gauss_solves_the_printed_minimised_hub():
+    # translate nests the hub's 1,000 operands to the right, and both
+    # _subst and eval_formula walk that chain in a loop
+    hub = bm.parse_bes(
+        "nu H = " + " || ".join(f"X{i}" for i in range(1000)) + ";\n"
+        + "".join(f"nu X{i} = X{i + 1} && X{i + 1};\n" for i in range(1000))
+        + "nu X1000 = false;\n"
+    )
+    printed = bm.parse_bes(bm.print_bes(bm.pipeline(hub).system))
+    solution = bm.solve_gauss(printed)
+    assert len(solution) == 1002 and not any(solution.values())
+    right_nested = bm.parse_formula("X0 || (" * 999 + "X999" + ")" * 999)
+    assert bm.eval_formula(right_nested, {f"X{i}": i == 999 for i in range(1000)})

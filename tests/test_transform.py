@@ -33,6 +33,39 @@ def test_to_srf_constants():
     assert solution["TRUE_1"] and not solution["FALSE_1"]
 
 
+def test_to_srf_names_and_order_are_pinned():
+    # aux names are drawn in pre-order, left to right, interleaved with the
+    # constants' names; a nested block's equation follows the blocks it holds
+    es = bm.parse_bes(
+        "mu X = X && (Y || (X && (Y || true)));"
+        "nu Y = (X || false) && OR{X,Y} && AND{Y} && Y;"
+        "mu TRUE = X || (Y && (true || X)) || false;"
+        "nu Z = false;"
+    )
+    assert bm.print_bes(bm.to_srf(es)) == (
+        "mu X = AND{X,X_1};\n"
+        "mu X_1_1_1 = OR{TRUE_1,Y};\n"
+        "mu X_1_1 = AND{X,X_1_1_1};\n"
+        "mu X_1 = OR{X_1_1,Y};\n"
+        "nu Y = AND{Y,Y_1,Y_2};\n"
+        "nu Y_1 = OR{FALSE_1,X};\n"
+        "nu Y_2 = OR{X,Y};\n"
+        "mu TRUE = OR{FALSE_1,TRUE_2,X};\n"
+        "mu TRUE_2_1 = OR{TRUE_1,X};\n"
+        "mu TRUE_2 = AND{TRUE_2_1,Y};\n"
+        "nu Z = FALSE_1;\n"
+        "nu TRUE_1 = TRUE_1;\n"
+        "mu FALSE_1 = FALSE_1;\n"
+    )
+    # a host named TRUE that needs a fresh name before the constant does
+    srf = bm.to_srf(bm.parse_bes("nu TRUE = TRUE && (TRUE || true);"))
+    assert bm.print_bes(srf) == (
+        "nu TRUE = AND{TRUE,TRUE_1};\n"
+        "nu TRUE_1 = OR{TRUE,TRUE_2};\n"
+        "nu TRUE_2 = TRUE_2;\n"
+    )
+
+
 def test_to_srf_preserves_solutions():
     for seed in range(60):
         es = bm.gen_bes(
@@ -86,6 +119,16 @@ def test_long_blocks_do_not_recurse():
     assert levels == 3000
     text = " || (".join(names) + " || " + names[-1] + ")" * 2999
     assert bm.format_formula(f) == text
+    # X && (Y || (X && ...)) nested 3,000 levels: one equation per level
+    f = Var("X")
+    for level in range(3000):
+        f = And(Var("X"), f) if level % 2 else Or(Var("Y"), f)
+    srf = bm.to_srf(bm.system(bm.Equation(MU, "X", f), bm.Equation(NU, "Y", Var("X"))))
+    assert len(srf.equations) == 3001
+    assert [eq.lhs for eq in srf.equations[:3]] == ["X", "X_1" + "_1" * 2998, "X_1" + "_1" * 2997]
+    assert srf.equations[0].rhs == AndSet(frozenset({"X", "X_1"}))
+    assert srf.equations[1].rhs == OrSet(frozenset({"X", "Y"}))
+    assert srf.equations[-1] == bm.Equation(NU, "Y", Var("X"))
 
 
 def test_hbar_embedding_bisimilar():
