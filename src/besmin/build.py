@@ -16,8 +16,10 @@ from __future__ import annotations
 from typing import Optional
 
 from .errors import BesError, OpenSystemError, UnrankedCycleError
-from .graph import AND, BOT, NONE, OR, TOP, Decoration, StructureGraph, _unranked_order
+from .graph import AND, BOT, NONE, OR, TOP, Decoration, StructureGraph, _ids, _unranked_order
 from .syntax import (
+    FALSE,
+    TRUE,
     And,
     AndSet,
     EquationSystem,
@@ -109,13 +111,12 @@ def _graph(
     )
     closure = list(position)  # the keys in closure order
     place = {closure[i]: j for j, i in enumerate(order)}  # key -> node position
-    width = len(str(max(len(order) - 1, 0)))
     return StructureGraph(
         place[init],
         [nodes[i][1] for i in order],
         [sorted(map(place.__getitem__, nodes[i][2])) for i in order],
         [texts[i] for i in order],
-        [f"n{j:0{width}d}" for j in range(len(order))],
+        _ids("n", len(order)),
     )
 
 
@@ -123,7 +124,7 @@ def _leaves(f: Formula, key_of) -> list:
     """The leaves of the same-connective block at ``f``, left to right, once each."""
     cls = f.__class__
     if cls is not And and cls is not Or:
-        return [key_of(f)]
+        return [f.name] if cls is Var else [key_of(f)]
     keys: dict = {}
     stack = [f]
     while stack:
@@ -131,7 +132,9 @@ def _leaves(f: Formula, key_of) -> list:
         if g.__class__ is cls:
             stack += g.right, g.left
         elif g.__class__ is Var:
-            keys[g.name] = None  # key_of gives a variable its name
+            keys[g.name] = None  # as key_of keys a variable, without the call
+        elif g is TRUE or g is FALSE:  # and the shared constants
+            keys[("true",) if g is TRUE else ("false",)] = None
         else:
             keys[key_of(g)] = None
     return list(keys)

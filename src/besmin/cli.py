@@ -112,12 +112,13 @@ def _cmd_minimize(args) -> int:
         sys.stdout.write(serialize_graph(quotient))
         return EXIT_OK
     m = pipeline(es)
-    members: dict[str, list[str]] = {}
+    members: list[list[str]] = [[] for _ in m.names]  # the labels of each block
     for label, block in zip(m.graph.labels, m.block_of):
-        members.setdefault(m.names[block], []).append(label)
+        members[block].append(label)
+    by_name = dict(zip(m.names, members))
     lines = [print_bes(m.system), "---\n", f"equations: {len(m.system.equations)}\n"]
     for eq in m.system:
-        lines.append(f"{eq.lhs} <= {{{', '.join(sorted(members[eq.lhs]))}}}\n")
+        lines.append(f"{eq.lhs} <= {{{', '.join(sorted(by_name[eq.lhs]))}}}\n")
     sys.stdout.write("".join(lines))
     return EXIT_OK
 

@@ -91,6 +91,12 @@ def _label_order(labels: list[str]) -> list[int]:
     )
 
 
+def _ids(prefix: str, n: int) -> list[str]:
+    """``prefix`` and 0 … n - 1, zero-padded to one width to sort as numbers."""
+    width = len(str(max(n - 1, 0)))
+    return [prefix + str(j).zfill(width) for j in range(n)]
+
+
 # ---------------------------------------------------------------------------
 # BESsy validation
 
@@ -336,13 +342,12 @@ def minimize(g: StructureGraph) -> tuple[StructureGraph, list[int]]:
             first.append(u)
     block_of = [number[b] for b in refined]
     images = [{block_of[v] for v in vs} for vs in g.succ]  # successor blocks
-    width = len(str(max(len(first) - 1, 0)))
     quotient = StructureGraph(
         block_of[g.init],
         [g.deco[u] for u in first],
         [sorted(images[u]) for u in first],
         [g.labels[u] for u in first],
-        [f"b{b:0{width}d}" for b in range(len(first))],
+        _ids("b", len(first)),
     )
     # the mapping is a functional bisimulation: it keeps every node's
     # decoration and maps its successors onto its block's successors

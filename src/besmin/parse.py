@@ -16,17 +16,18 @@ same-operator formulas parse to a left-nested binary AST; parentheses
 are preserved as explicit nesting.
 
 One ``findall`` pass of a regular expression gives the token texts,
-each match being one token together with the white space and comments
-before it; the empty text ends the input.  A token's kind is the token
-itself for keywords and operators, an identifier if it starts with an
-ASCII letter or underscore, and an unexpected character otherwise.
+one match per token or comment; white space (space, tab, CR and LF) is
+never matched.  Comments are dropped only if the text holds a "//", and
+the empty text ends the input.  A token's kind is the token itself for
+keywords and operators, an identifier if it starts with an ASCII letter
+or underscore, and an unexpected character otherwise.
 Formulas are read by one loop that keeps the enclosing disjunction and
 conjunction of every open parenthesis on an explicit stack, so nesting
 depth is bounded by memory, not by Python's recursion limit.  Offsets,
 lines and columns are computed only when an error is reported, by
 scanning the text again; an unexpected character is reported before any
 other error, wherever it is.  Constants are the shared ``TRUE``/``FALSE``
-and every name gets one shared ``Var``.
+and every name gets one shared ``Var``, each found by one lookup.
 """
 
 from __future__ import annotations
@@ -51,18 +52,10 @@ from .syntax import (
     Var,
 )
 
-_TOKEN_RE = re.compile(
-    r"""
-    [ \t\r\n]* (?: //[^\n]* [ \t\r\n]* )*    # white space and comments
-    (
-        [A-Za-z_][A-Za-z0-9_']*             # identifier or keyword
-      | && | \|\| | [=;(){},]
-      | .                                   # an unexpected character
-      | \Z                                  # the end: an empty token
-    )
-    """,
-    re.VERBOSE,
-)
+# an identifier or keyword, a two-character operator, a comment, or any
+# other character but white space: a one-character operator or an
+# unexpected character
+_TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*|&&|\|\||//[^\n]*|[^ \t\r\n]")
 
 _KEYWORDS = frozenset({"mu", "nu", "true", "false", "AND", "OR"})
 _OPERATORS = frozenset({"&&", "||", "=", ";", "(", ")", "{", "}", ",", ""})
@@ -81,10 +74,15 @@ class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.tokens = _TOKEN_RE.findall(text)
-        self.variables: dict[str, Var] = {}  # one shared Var per name
+        if "//" in text:
+            self.tokens = [token for token in self.tokens if token[:2] != "//"]
+        self.tokens.append("")  # the end
+        # the shared constants, and one shared Var per name
+        self.variables: dict[str, Formula] = {"true": TRUE, "false": FALSE}
 
     def offset(self, index: int) -> int:
-        return next(islice(_TOKEN_RE.finditer(self.text), index, None)).start(1)
+        starts = (m.start() for m in _TOKEN_RE.finditer(self.text) if m[0][:2] != "//")
+        return next(islice(starts, index, None), len(self.text))
 
     def error(self, index: int, message: str) -> ParseError:
         offset = self.offset(index)
@@ -164,9 +162,7 @@ class _Parser:
                     disj = conj = None
                     pos += 1
                     continue
-                if token == "true" or token == "false":
-                    atom = TRUE if token == "true" else FALSE
-                elif token == "AND" or token == "OR":
+                if token == "AND" or token == "OR":
                     pos = self.name(self.expect(pos + 1, "{"))
                     members = [tokens[pos - 1]]
                     while tokens[pos] == ",":

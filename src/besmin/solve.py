@@ -1,10 +1,10 @@
 """Two independent solution procedures for closed equation systems.
 
 ``solve_recursive`` evaluates the recursive solution definition literally
-and serves as the ground-truth oracle (exponential, fine up to ~15
-variables).  ``solve_gauss`` is a substitution solver: right-to-left
-self-elimination with constant folding, then left-to-right
-back-substitution.
+and serves as the ground-truth oracle: exponential, fine up to about 15
+variables, and refusing systems of more than ``ORACLE_MAX_EQUATIONS``.
+``solve_gauss`` is a substitution solver: right-to-left self-elimination
+with constant folding, then left-to-right back-substitution.
 """
 
 from __future__ import annotations
@@ -59,12 +59,26 @@ def eval_formula(f: Formula, env: Environment) -> bool:
     raise TypeError(f"not a formula: {f!r}")
 
 
+# The oracle nests one call per equation, so a bound on the equations keeps
+# it within Python's recursion limit; below it, it is exponential anyway.
+ORACLE_MAX_EQUATIONS = 500
+
+
+def require_oracle_size(es: EquationSystem) -> None:
+    if len(es.equations) > ORACLE_MAX_EQUATIONS:
+        raise BesError(
+            f"the recursive oracle solves at most {ORACLE_MAX_EQUATIONS} "
+            f"equations; this system has {len(es.equations)}"
+        )
+
+
 def solve_recursive(es: EquationSystem, env: Environment) -> dict[str, bool]:
     """The literal recursive solution semantics.
 
     Works for open systems given a total environment; for closed systems
     the restriction to the bound variables is the solution.
     """
+    require_oracle_size(es)
     return dict(_solve_from(es.equations, 0, dict(env), {}))
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .build import build_graph
 from .graph import StructureGraph, bisimilar, minimize, translate
-from .solve import solve_gauss, solve_recursive
+from .solve import require_oracle_size, solve_gauss, solve_recursive
 from .syntax import EquationSystem
 
 
@@ -43,6 +43,7 @@ class VerifyResult:
 
 
 def verify_system(es: EquationSystem) -> VerifyResult:
+    require_oracle_size(es)  # the minimised system is never larger
     m = pipeline(es)
     # the ranked nodes of a built graph are exactly its bound variables
     variable_map = {

@@ -122,6 +122,7 @@ def test_build_graph_preconditions():
         (bm.EquationSystem(()), None, bm.BesError, "for non-empty systems"),
         (bm.parse_bes("mu X = Y && OR{X};"), None, bm.OpenSystemError, "unbound: Y"),
         (bm.parse_bes("mu X = Y;"), None, bm.OpenSystemError, "open; unbound: Y"),
+        (bm.parse_bes("nu X = X && Z; mu Z = Y;"), None, bm.OpenSystemError, "unbound: Y$"),
         (
             bm.parse_bes("mu X = X; nu Y = AND{X} || Y;"),
             bm.AndSet(frozenset({"Q"})),
@@ -134,6 +135,32 @@ def test_build_graph_preconditions():
     ):
         with pytest.raises(error, match=message):
             bm.build_graph(system, formula)
+
+
+def test_fresh_constants_build_the_graph_of_the_shared_ones():
+    # the builder keys the parser's shared TRUE and FALSE without formatting
+    # them; a constant built anew must still land on the same node
+    MU, NU = bm.Fixpoint.MU, bm.Fixpoint.NU
+    T, F = Const(True), Const(False)
+    assert T is not bm.parse_formula("true") and F is not bm.parse_formula("false")
+    shared = bm.parse_bes(
+        "nu X = true && Y && (false || Y || true); mu Y = (X || false) && true;"
+        "nu Z = true; mu W = false;"
+    )
+    fresh = bm.system(
+        bm.Equation(NU, "X", And(And(T, Var("Y")), Or(Or(F, Var("Y")), Const(True)))),
+        bm.Equation(MU, "Y", And(Or(Var("X"), F), bm.parse_formula("true"))),  # shared
+        bm.Equation(NU, "Z", T),
+        bm.Equation(MU, "W", Const(False)),
+    )
+    assert fresh == shared
+    g = bm.build_graph(shared)
+    assert bm.build_graph(fresh) == g
+    assert g.labels.count("true") == g.labels.count("false") == 1
+    # ... and as the initial formula
+    for t in (And(T, Var("Z")), Or(Var("W"), F), T):
+        text = bm.format_formula(t)
+        assert bm.build_graph(fresh, t) == bm.build_graph(shared, bm.parse_formula(text)), text
 
 
 def test_paper_application_counts():

@@ -100,6 +100,17 @@ def test_solve_open_system_exit_2(tmp_path, capsys):
         assert err == "error: system is open; unbound: Y\n", command
 
 
+def test_oracle_bound_exit_2(tmp_path, capsys):
+    # a RecursionError traceback at 1,200 links, before the oracle had a bound
+    path = tmp_path / "chain.bes"
+    path.write_text(chain(1200))
+    message = "error: the recursive oracle solves at most 500 equations; this system has 1201\n"
+    for command in (("solve", "--method", "oracle"), ("verify",)):
+        assert run(capsys, *command, str(path)) == (2, "", message), command
+    code, out, err = run(capsys, "solve", str(path))
+    assert (code, err, out.count(" = false\n")) == (0, "", 1201)
+
+
 def test_graph_sgraph_output(capsys):
     code, out, _ = run(capsys, "graph", "--fixture", "example-structure-graph")
     assert code == 0

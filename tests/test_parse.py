@@ -33,6 +33,7 @@ def test_set_syntax():
 def test_comments_and_primes():
     es = bm.parse_bes("// a comment\nmu X' = X'; // trailing\n")
     assert es.equations[0].lhs == "X'"
+    assert bm.parse_bes("mu X' = X'; // at the end, without a newline") == es
 
 
 def test_empty_input_is_empty_system():
@@ -115,6 +116,72 @@ ERRORS = [
         bm.parse_bes,
         "mu X = Y;\nnu Y = X;\nmu X = true;\n",
         "variable X is bound by more than one equation (line 3)",
+        None,
+        None,
+    ),
+    # white space is exactly space, tab, CR and LF; "//" starts a comment
+    # only as a pair, and a lone "/", "&" or "|" is an unexpected character
+    (bm.parse_bes, "mu X = Y / Z;", "line 1, column 10: unexpected character '/'", 1, 10),
+    (bm.parse_bes, "mu X = Y & Z;", "line 1, column 10: unexpected character '&'", 1, 10),
+    (bm.parse_bes, "mu X = Y | Z;", "line 1, column 10: unexpected character '|'", 1, 10),
+    (bm.parse_bes, "mu X = X;\n/", "line 2, column 1: unexpected character '/'", 2, 1),
+    (bm.parse_bes, "mu X =\fX;", "line 1, column 7: unexpected character '\\x0c'", 1, 7),
+    (bm.parse_bes, "mu X =\vX;", "line 1, column 7: unexpected character '\\x0b'", 1, 7),
+    (bm.parse_bes, "mu X =\u00a0X;", "line 1, column 7: unexpected character '\\xa0'", 1, 7),
+    (
+        bm.parse_bes,
+        "mu X = X;\nnu \u00e9 = X;",
+        "line 2, column 4: unexpected character '\u00e9'",
+        2,
+        4,
+    ),
+    (
+        bm.parse_bes,
+        "mu X = X; // &&\n// $ \u00e9\nnu Y = $;",
+        "line 3, column 8: unexpected character '$'",
+        3,
+        8,
+    ),
+    (
+        bm.parse_bes,
+        "mu X = X // end",
+        "line 1, column 16: expected ';', got 'end of input'",
+        1,
+        16,
+    ),
+    (
+        bm.parse_formula,
+        "X && // c",
+        "line 1, column 10: expected a formula, got 'end of input'",
+        1,
+        10,
+    ),
+    (
+        bm.parse_bes,
+        "mu X = X &&   // c\n",
+        "line 2, column 1: expected a formula, got 'end of input'",
+        2,
+        1,
+    ),
+    (
+        bm.parse_bes,
+        "mu X = X &&\r\n  Y\r\n  ;\r\nnu Y = (X ||\r\n);\r\n",
+        "line 5, column 1: expected a formula, got ')'",
+        5,
+        1,
+    ),
+    (bm.parse_bes, "mu X = (X || Y;", "line 1, column 15: expected ')', got ';'", 1, 15),
+    (
+        bm.parse_bes,
+        "mu X = X &&",
+        "line 1, column 12: expected a formula, got 'end of input'",
+        1,
+        12,
+    ),
+    (
+        bm.parse_bes,
+        "mu X = Y; // X again\nnu Y = X;\n// and\n  mu X = true;\n",
+        "variable X is bound by more than one equation (line 4)",
         None,
         None,
     ),

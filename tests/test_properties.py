@@ -1,5 +1,7 @@
 """Property-based invariants over randomly generated systems."""
 
+import re
+
 from hypothesis import given, settings, strategies as st
 
 import besmin as bm
@@ -166,3 +168,27 @@ def test_parser_accepts_or_reports_a_position(text):
             continue
         if parse is bm.parse_bes:
             assert bm.parse_bes(bm.print_bes(result)) == result
+
+
+# the tokens of printed systems, and what may stand between two tokens
+TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_']*|&&|\|\||\S")
+GAPS = st.lists(
+    st.one_of(
+        st.text(" \t\r\n", min_size=1, max_size=3),
+        st.text(st.characters(exclude_characters="\n"), max_size=6).map(lambda c: f"//{c}\n"),
+    ),
+    min_size=1,
+    max_size=3,
+).map("".join)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 10**6), st.data())
+def test_white_space_and_comments_between_tokens_change_nothing(n, seed, data):
+    cfg = bm.GenConfig(variable_count=n, max_rhs_depth=3, constant_probability=0.2, seed=seed)
+    printed = bm.print_bes(bm.gen_bes(cfg))
+    tokens = TOKEN.findall(printed)
+    gaps = data.draw(st.lists(GAPS, min_size=len(tokens) + 1, max_size=len(tokens) + 1))
+    text = "".join(gap + token for gap, token in zip(gaps, tokens + [""]))
+    text += data.draw(st.sampled_from(["", "// a comment at the end, without a newline"]))
+    assert bm.parse_bes(text) == bm.parse_bes(printed)

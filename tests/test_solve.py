@@ -5,8 +5,10 @@ import gc
 import pytest
 
 import besmin as bm
+import besmin.verify
 from besmin import Var
-from conftest import oracle
+from besmin.solve import ORACLE_MAX_EQUATIONS
+from conftest import chain, oracle
 
 
 def test_eval_formula():
@@ -52,6 +54,33 @@ def test_oracle_leaves_no_cyclic_garbage(collector):
     gc.disable()
     bm.solve_recursive(es, {})
     assert gc.collect() == 0
+
+
+def test_oracle_refuses_systems_above_its_bound(monkeypatch):
+    # the oracle nests one call per equation: a chain of 1,200 links once
+    # let a RecursionError escape, from solve_recursive and verify_system
+    es = bm.parse_bes(chain(1200))
+    message = (
+        f"^the recursive oracle solves at most {ORACLE_MAX_EQUATIONS} equations; "
+        "this system has 1201$"
+    )
+    with pytest.raises(bm.BesError, match=message):
+        bm.solve_recursive(es, {})
+    # verify checks the bound before it builds or solves anything
+    def unreachable(es):
+        raise AssertionError("verify_system went past the oracle's bound")
+
+    monkeypatch.setattr(besmin.verify, "pipeline", unreachable)
+    monkeypatch.setattr(besmin.verify, "solve_gauss", unreachable)
+    with pytest.raises(bm.BesError, match=message):
+        bm.verify_system(es)
+    # a system at the bound whose memoised recursion is linear is solved
+    text = "".join(f"nu X{i} = true;\n" for i in range(ORACLE_MAX_EQUATIONS))
+    assert bm.solve_recursive(bm.parse_bes(text), {}) == {
+        f"X{i}": True for i in range(ORACLE_MAX_EQUATIONS)
+    }
+    with pytest.raises(bm.BesError, match="this system has 501$"):
+        bm.solve_recursive(bm.parse_bes(text + "nu Y = true;"), {})
 
 
 def test_gauss_rejects_open_or_empty():
