@@ -82,7 +82,7 @@ def _graph(
             return f.name
         key = (format_formula(f),)
         known = terms.setdefault(key, f)
-        if known is not f and known != f:
+        if known is not f and not _equal(known, f):
             key = (key[0], f)
             terms.setdefault(key, f)
         return key
@@ -118,6 +118,20 @@ def _graph(
         [texts[i] for i in order],
         _ids("n", len(order)),
     )
+
+
+def _equal(f: Formula, g: Formula) -> bool:
+    """``f == g``, read in one loop: the generated ``__eq__`` recurses."""
+    pairs = [(f, g)]
+    while pairs:
+        f, g = pairs.pop()
+        if f.__class__ is not g.__class__:
+            return False
+        if f.__class__ is And or f.__class__ is Or:
+            pairs += (f.right, g.right), (f.left, g.left)
+        elif f != g:
+            return False
+    return True
 
 
 def _leaves(f: Formula, key_of) -> list:

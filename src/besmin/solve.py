@@ -4,7 +4,8 @@
 and serves as the ground-truth oracle: exponential, fine up to about 15
 variables, and refusing systems of more than ``ORACLE_MAX_EQUATIONS``.
 ``solve_gauss`` is a substitution solver: right-to-left self-elimination
-with constant folding, then left-to-right back-substitution.
+with constant folding, then left-to-right back-substitution.  Formulas are
+evaluated and substituted by loops with explicit stacks, not by recursion.
 """
 
 from __future__ import annotations
@@ -33,30 +34,31 @@ Environment = Mapping[str, bool]
 
 
 def eval_formula(f: Formula, env: Environment) -> bool:
-    cls = f.__class__
-    if cls is And or cls is Or:
-        # read the block's operands left to right, as and/or would: a false
-        # one decides a conjunction and a true one a disjunction
-        decisive, stack = cls is Or, [f.right, f.left]
-        while stack:
-            g = stack.pop()
-            if g.__class__ is cls:
-                stack += g.right, g.left
-            elif eval_formula(g, env) == decisive:
-                return decisive
-        return not decisive
-    if cls is Var:
-        try:
-            return env[f.name]
-        except KeyError:
-            raise BesError(f"variable {f.name} is outside the environment domain")
-    if cls is Const:
-        return f.value
-    if cls is AndSet:
-        return all(eval_formula(Var(x), env) for x in f.members)
-    if cls is OrSet:
-        return any(eval_formula(Var(x), env) for x in f.members)
-    raise TypeError(f"not a formula: {f!r}")
+    # operands are read left to right, as and/or would: a false one decides
+    # a conjunction and a true one a disjunction, else the right one is next
+    waiting = []  # the connectives whose left operand is being read
+    try:
+        while True:
+            cls = f.__class__
+            while cls is And or cls is Or:
+                waiting.append(f)
+                f = f.left
+                cls = f.__class__
+            if cls is Var:
+                value = env[f.name]
+            elif cls is Const:
+                value = f.value
+            elif cls is AndSet or cls is OrSet:
+                value = (all if cls is AndSet else any)(env[x] for x in f.members)
+            else:
+                raise TypeError(f"not a formula: {f!r}")
+            while waiting and (waiting[-1].__class__ is Or) == value:
+                waiting.pop()
+            if not waiting:
+                return value
+            f = waiting.pop().right
+    except KeyError as missing:
+        raise BesError(f"variable {missing.args[0]} is outside the environment domain")
 
 
 # The oracle nests one call per equation, so a bound on the equations keeps
@@ -107,48 +109,47 @@ def _solve_from(
 # Gauss elimination
 
 
-def _fold(f: Formula) -> Formula:
-    # Only constant-adjacent folding; no idempotency or absorption, so the
-    # solver never hides structure the graph pipeline is supposed to see.
-    if isinstance(f, And):
-        if isinstance(f.left, Const):
-            return f.right if f.left.value else FALSE
-        if isinstance(f.right, Const):
-            return f.left if f.right.value else FALSE
-    if isinstance(f, Or):
-        if isinstance(f.left, Const):
-            return TRUE if f.left.value else f.right
-        if isinstance(f.right, Const):
-            return TRUE if f.right.value else f.left
-    return f
+_AND, _OR = object(), object()  # on _subst's stack: fold a connective's operands
 
 
 def _subst(f: Formula, x: str, g: Formula) -> Formula:
-    cls = f.__class__
-    if cls is And or cls is Or:
-        # the block's operands, substituted left to right and folded into a
-        # left-nested chain
-        result, stack = None, [f.right, f.left]
-        while stack:
-            h = stack.pop()
-            if h.__class__ is cls:
-                stack += h.right, h.left
-            elif result is None:
-                result = _subst(h, x, g)
+    # a post-order loop down each left spine; a right operand waits on the
+    # stack above its connective's marker, and its left one on ``done``.
+    # Only constants fold, no idempotency or absorption, so the solver
+    # never hides structure the graph pipeline is supposed to see.
+    todo, done = [], []
+    while True:
+        cls = f.__class__
+        while cls is And or cls is Or:
+            todo += _AND if cls is And else _OR, f.right
+            f = f.left
+            cls = f.__class__
+        if cls is Var:
+            result = g if f.name == x else f
+        elif cls is Const:
+            result = f
+        elif cls is AndSet or cls is OrSet:
+            if x in f.members:  # as the left-nested chain of its sorted members
+                f = reduce(And if cls is AndSet else Or, map(Var, sorted(f.members)))
+                continue
+            result = f
+        else:
+            raise TypeError(f"not a formula: {f!r}")
+        while todo:
+            f = todo.pop()
+            if f is not _AND and f is not _OR:
+                done.append(result)
+                break
+            left = done.pop()
+            op, stop = (And, FALSE) if f is _AND else (Or, TRUE)  # stop decides op
+            if left.__class__ is Const:
+                result = stop if left.value == stop.value else result
+            elif result.__class__ is Const:
+                result = stop if result.value == stop.value else left
             else:
-                result = _fold(cls(result, _subst(h, x, g)))
-        return result
-    if cls is Var:
-        return g if f.name == x else f
-    if cls is Const:
-        return f
-    if cls is AndSet or cls is OrSet:
-        if x not in f.members:
-            return f
-        # substituted as the left-nested chain of its sorted members
-        chain = reduce(And if cls is AndSet else Or, map(Var, sorted(f.members)))
-        return _subst(chain, x, g)
-    raise TypeError(f"not a formula: {f!r}")
+                result = op(left, result)
+        else:
+            return result
 
 
 def solve_gauss(es: EquationSystem) -> dict[str, bool]:

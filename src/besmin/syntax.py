@@ -4,7 +4,8 @@ A system is a finite sequence of least (mu) / greatest (nu) fixed-point
 equations over proposition variables, with right-hand sides in positive
 form.  Besides the binary connectives, the syntax carries n-ary
 conjunction/disjunction over variable sets so that systems in standard
-recursive form (SRF) can be represented directly.
+recursive form (SRF) can be represented directly.  Every walk over a
+formula is a loop with an explicit stack, so depth is not bounded by recursion.
 """
 
 from __future__ import annotations
@@ -137,59 +138,44 @@ def system(*equations: Equation) -> EquationSystem:
 # Canonical text form
 
 
-def _spine(f: And | Or) -> tuple[Formula, list[Formula]]:
-    """The leftmost operand of the chain of ``f``'s connective at ``f`` and
-    the other operands, right to left, from one loop down its left spine."""
-    cls, rights = f.__class__, []
-    while f.__class__ is cls:
-        rights.append(f.right)
-        f = f.left
-    return f, rights
-
-
 def format_formula(f: Formula) -> str:
-    cls = f.__class__
-    if cls is Var:
-        return f.name
-    if cls is And or cls is Or:
-        # a left-nested chain of one connective prints without parentheses,
-        # and every operand off it that is a connective prints inside them
-        sep = " && " if cls is And else " || "
-        left, right = f.left, f.right
-        if left.__class__ is cls:
-            left, rights = _spine(f)
-            text = sep.join([
-                f"({format_formula(g)})"
-                if g.__class__ is And or g.__class__ is Or
-                else format_formula(g)
-                for g in reversed(rights)
-            ])
-        elif right.__class__ is cls and right.left.__class__ is not cls:
-            # a right-nested chain X || (Y || (...)) is walked in a loop,
-            # and its closing parentheses are appended at the end
-            text, depth = "", 0
-            while True:
-                if left.__class__ is And or left.__class__ is Or:
-                    text += f"({format_formula(left)}){sep}("
+    # a left-nested chain of one connective prints without parentheses, and
+    # every operand off it that is a connective inside them.  One loop walks
+    # down each left spine; the texts and connectives right of it wait on a stack
+    cls, text, stack = f.__class__, "", []
+    while True:
+        while cls is And or cls is Or:
+            sep = " && " if cls is And else " || "
+            while f.__class__ is cls:
+                right = f.right
+                if right.__class__ is Var:
+                    stack.append(sep + right.name)
+                elif right.__class__ is And or right.__class__ is Or:
+                    stack += ")", right, sep + "("
                 else:
-                    text += format_formula(left) + sep + "("
-                f, depth = right, depth + 1
-                left, right = f.left, f.right
-                if right.__class__ is not cls or right.left.__class__ is cls:
-                    return text + format_formula(f) + ")" * depth
+                    stack.append(sep + _leaf_text(right))
+                f = f.left
+            cls = f.__class__
+            if cls is And or cls is Or:
+                text += "("
+                stack.append(")")
+        text += f.name if cls is Var else _leaf_text(f)
+        while stack:  # the text up to the next waiting connective
+            f = stack.pop()
+            cls = f.__class__
+            if cls is not str:
+                break
+            text += f
         else:
-            text = format_formula(right)
-            if right.__class__ is And or right.__class__ is Or:
-                text = f"({text})"
-        if left.__class__ is And or left.__class__ is Or:
-            return f"({format_formula(left)}){sep}{text}"
-        return format_formula(left) + sep + text
+            return text
+
+
+def _leaf_text(f: Formula) -> str:  # of any formula but a connective or a variable
+    cls = f.__class__
     if cls is Const:
         return "true" if f.value else "false"
-    if cls is AndSet:
-        return "AND{" + ",".join(sorted(f.members)) + "}"
-    if cls is OrSet:
-        return "OR{" + ",".join(sorted(f.members)) + "}"
+    if cls is AndSet or cls is OrSet:
+        return ("AND{" if cls is AndSet else "OR{") + ",".join(sorted(f.members)) + "}"
     raise TypeError(f"not a formula: {f!r}")
 
 

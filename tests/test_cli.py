@@ -1,17 +1,22 @@
 """Command-line interface: subcommands, output shapes, exit codes."""
 
+import contextlib
 import gc
 import hashlib
 import importlib
 import importlib.metadata
+import io
 import os
+import random
 import re
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import besmin as bm
 import besmin.verify
@@ -414,6 +419,90 @@ def test_deep_input_probe(tmp_path, capsys):
         code, out, err = run(capsys, *command, str(alternating))
         assert (code, err) == (0, ""), command
     assert out == "PASS: 2 variables verified\n"
+    # ... and 1,000 levels, where format_formula, eval_formula and _subst once
+    # recursed, with either sign first, and twice as two equal subterms that
+    # build_graph's node keys compare
+    for level in range(700, 1000):
+        term = f"X && ({term})" if level % 2 == 0 else f"Y || ({term})"
+    for text in (
+        f"mu X = {term}; nu Y = X && Y;",
+        f"nu X = {term}; mu Y = X && Y;",
+        f"mu X = ({term}) || ({term}); nu Y = X && Y;",
+    ):
+        alternating.write_text(text)
+        results = {}
+        for command in (
+            ("solve",), ("solve", "--method", "oracle"), ("graph",),
+            ("minimize",), ("minimize", "--emit", "bes"), ("verify",),
+        ):
+            results[command] = code, out, err = run(capsys, *command, str(alternating))
+            assert (code, err) == (0, ""), (text[:6], command)
+        assert results[("solve",)] == results[("solve", "--method", "oracle")]
+        assert out == "PASS: 2 variables verified\n"
+
+
+def _nest(rng, levels: int) -> str:
+    """A term nested ``levels`` deep in alternating connectives, each level
+    with a random leaf on a random side."""
+    term = "X"
+    for level in range(levels):
+        op, leaf = ("&&", "||")[level % 2], rng.choice(("X", "Y", "true", "false"))
+        term = f"{leaf} {op} ({term})" if rng.random() < 0.5 else f"({term}) {op} {leaf}"
+    return term
+
+
+@st.composite
+def deep_systems(draw) -> str:
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    op = draw(st.sampled_from(("&&", "||")))
+    shape = draw(st.sampled_from(("nest", "repeated", "chain", "right chain")))
+    if shape in ("nest", "repeated"):
+        term = _nest(rng, draw(st.integers(1000, 1500)))  # shallower ones are tested elsewhere
+        rhs = term if shape == "nest" else f"({term}) {op} ({term})"
+    else:
+        operands = [rng.choice(("X", "Y", "true")) for _ in range(draw(st.integers(1, 10_000)))]
+        if shape == "chain":
+            rhs = f" {op} ".join(operands)
+        else:
+            rhs = f" {op} (".join(operands) + ")" * (len(operands) - 1)
+    x, y = draw(st.sampled_from(("mu", "nu"))), draw(st.sampled_from(("mu", "nu")))
+    return f"{x} X = {rhs}; {y} Y = X {op} Y;"
+
+
+# the recursion limit a besmin process starts with; Hypothesis raises it
+# around each example, which would hide a recursion once per nesting level
+RECURSION_LIMIT = sys.getrecursionlimit()
+
+
+@settings(max_examples=4, deadline=None)  # a deep example takes seconds
+@given(deep_systems())
+def test_deep_input_fuzz(text):
+    # no input raises out of main, however deep it nests or long it chains
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(RECURSION_LIMIT)
+    try:
+        _run_every_command(text)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def _run_every_command(text: str) -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "deep.bes")
+        with open(path, "w") as handle:
+            handle.write(text)
+        outputs = {}
+        for command in (
+            ("check",), ("solve",), ("solve", "--method", "oracle"), ("graph",),
+            ("minimize", "--emit", "bes"), ("verify",),
+        ):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([command[0], path, *command[1:]])
+            assert (code, err.getvalue()) == (0, ""), command
+            outputs[command] = out.getvalue()
+        assert outputs[("solve",)] == outputs[("solve", "--method", "oracle")]
+        assert outputs[("verify",)] == "PASS: 2 variables verified\n"
 
 
 # sha256 of stdout; every command exits 0

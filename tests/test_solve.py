@@ -19,6 +19,17 @@ def test_eval_formula():
     assert not bm.eval_formula(bm.parse_formula("AND{X, Y}"), env)
     with pytest.raises(bm.BesError):
         bm.eval_formula(Var("Z"), env)
+    # operands are read left to right, and a deciding one stops the reading
+    assert not bm.eval_formula(bm.parse_formula("X && Z"), {"X": False})
+    assert bm.eval_formula(bm.parse_formula("X || Z"), env)
+    with pytest.raises(bm.BesError):
+        bm.eval_formula(bm.parse_formula("Z && X"), {"X": False})
+    # X && (Y || (X && ...)) nested 3,000 levels
+    term = "Y"
+    for level in range(3000):
+        term = f"X && ({term})" if level % 2 == 0 else f"Y || ({term})"
+    assert not bm.eval_formula(bm.parse_formula(term), env)
+    assert bm.eval_formula(bm.parse_formula(term), {"X": True, "Y": True})
 
 
 def test_order_sensitivity():
