@@ -56,8 +56,8 @@ def _graph(
 
     A node is keyed by a bound variable's name, or by a 1-tuple of the
     text of any other formula, so that ``Var("true")`` and the constant
-    true stay apart; two formulas with one text (possible only with names
-    that are not identifiers) get keys that also hold the formula.  Each
+    true stay apart; each further formula of one text (possible only with
+    names that are not identifiers) gets a key one ordinal longer.  Each
     node's text, decoration and successor keys (``successors(f, key_of)``
     of the formula or of the variable's right-hand side) are computed once,
     and ``term_deco`` decorates each term by its class.  An unbound name,
@@ -81,10 +81,8 @@ def _graph(
         if f.__class__ is Var:
             return f.name
         key = (format_formula(f),)
-        known = terms.setdefault(key, f)
-        if known is not f and not _equal(known, f):
-            key = (key[0], f)
-            terms.setdefault(key, f)
+        while terms.setdefault(key, f) is not f and not _equal(terms[key], f):
+            key += (len(key),)
         return key
 
     position: dict = {}

@@ -50,7 +50,7 @@ def _load_system(args) -> EquationSystem:
         try:
             with open(args.path, "r", encoding="utf-8") as handle:
                 text = handle.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise _CliFailure(str(exc), EXIT_INVALID)
     return parse_bes(text)
 

@@ -3,21 +3,20 @@
 ``solve_recursive`` evaluates the recursive solution definition literally
 and serves as the ground-truth oracle: exponential, fine up to about 15
 variables, and refusing systems of more than ``ORACLE_MAX_EQUATIONS``.
-``solve_gauss`` is a substitution solver: right-to-left self-elimination
-with constant folding, then left-to-right back-substitution.  Formulas are
-evaluated and substituted by loops with explicit stacks, not by recursion.
+``solve_gauss`` eliminates from the last equation to the first and then
+substitutes forward, on a hash-consed table of integer nodes: 0 is false,
+1 is true, 2 + i is X_i, bound by equation i, and connectives ``(op, left,
+right)``, op 1 for a conjunction.  Substituting for X_i rebuilds only nodes
+whose ``top``, the greatest i they mention, is i.  No formula walk recurses.
 """
 
 from __future__ import annotations
 
-from functools import reduce
 from typing import Mapping
 
 from .errors import BesError
 from .syntax import (
-    FALSE,
     NU,
-    TRUE,
     And,
     AndSet,
     Const,
@@ -109,62 +108,65 @@ def _solve_from(
 # Gauss elimination
 
 
-_AND, _OR = object(), object()  # on _subst's stack: fold a connective's operands
-
-
-def _subst(f: Formula, x: str, g: Formula) -> Formula:
-    # a post-order loop down each left spine; a right operand waits on the
-    # stack above its connective's marker, and its left one on ``done``.
-    # Only constants fold, no idempotency or absorption, so the solver
-    # never hides structure the graph pipeline is supposed to see.
-    todo, done = [], []
-    while True:
-        cls = f.__class__
-        while cls is And or cls is Or:
-            todo += _AND if cls is And else _OR, f.right
-            f = f.left
-            cls = f.__class__
-        if cls is Var:
-            result = g if f.name == x else f
-        elif cls is Const:
-            result = f
-        elif cls is AndSet or cls is OrSet:
-            if x in f.members:  # as the left-nested chain of its sorted members
-                f = reduce(And if cls is AndSet else Or, map(Var, sorted(f.members)))
-                continue
-            result = f
-        else:
-            raise TypeError(f"not a formula: {f!r}")
-        while todo:
-            f = todo.pop()
-            if f is not _AND and f is not _OR:
-                done.append(result)
-                break
-            left = done.pop()
-            op, stop = (And, FALSE) if f is _AND else (Or, TRUE)  # stop decides op
-            if left.__class__ is Const:
-                result = stop if left.value == stop.value else result
-            elif result.__class__ is Const:
-                result = stop if result.value == stop.value else left
-            else:
-                result = op(left, result)
-        else:
-            return result
-
-
 def solve_gauss(es: EquationSystem) -> dict[str, bool]:
     if not es.equations:
         raise BesError("cannot solve an empty equation system")
     require_closed(es)
     eqs = es.equations
-    rhss = [eq.rhs for eq in eqs]
-    for i in reversed(range(len(eqs))):
-        self_value = TRUE if eqs[i].sign is NU else FALSE
-        solved = _subst(rhss[i], eqs[i].lhs, self_value)
-        rhss[i] = solved
-        for j in range(i):
-            rhss[j] = _subst(rhss[j], eqs[i].lhs, solved)
-    assignment: dict[str, bool] = {}
-    for eq, f in zip(eqs, rhss):
-        assignment[eq.lhs] = eval_formula(f, assignment)
-    return assignment
+    index = {eq.lhs: i + 2 for i, eq in enumerate(eqs)}
+    nodes: list = [None] * (len(eqs) + 2)  # the connectives' (op, left, right)
+    top = [-1, -1, *range(len(eqs))]
+    table: dict = {}
+
+    def make(op: int, a: int, b: int) -> int:  # folds constants and a op a
+        if a == 1 - op or b == op:
+            return a
+        if b == 1 - op or a == op or a == b:
+            return b
+        u = table.setdefault((op, a, b), len(nodes))
+        if u == len(nodes):
+            nodes.append((op, a, b))
+            top.append(max(top[a], top[b]))
+        return u
+
+    def load(f: Formula) -> int:  # a post-order loop, operands left to right
+        todo, done = [f], []
+        while todo:
+            f = todo.pop()
+            cls = f.__class__
+            if cls is And or cls is Or:
+                todo += int(cls is And), f.right, f.left
+            elif cls is int:  # the op of a connective whose operands are done
+                done[-2:] = [make(f, *done[-2:])]
+            elif cls is Var:
+                done.append(index[f.name])
+            elif cls is Const:
+                done.append(int(f.value))
+            elif cls is AndSet or cls is OrSet:  # the chain of its members
+                done += sorted(index[x] for x in f.members)
+                todo += [int(cls is AndSet)] * (len(f.members) - 1)
+            else:
+                raise TypeError(f"not a formula: {f!r}")
+        return done.pop()
+
+    def subst(u: int, i: int, g: int) -> int:  # u with g for X_i; top[u] == i
+        memo, stack = {i + 2: g}, [u]
+        while stack:
+            v = stack.pop()
+            if v not in memo:
+                memo[v] = v
+                stack += [w for w in nodes[v][1:] if top[w] == i]
+        for v in sorted(memo)[1:]:  # after i + 2, children before parents
+            op, a, b = nodes[v]
+            memo[v] = make(op, memo.get(a, a), memo.get(b, b))
+        return memo[u]
+
+    rhss = [load(eq.rhs) for eq in eqs]
+    for i in reversed(range(len(eqs))):  # each rhss[j <= i] is over X_0 ... X_i
+        for j in range(i, -1, -1):  # X_i's own equation first, by its sign
+            if top[rhss[j]] == i:
+                rhss[j] = subst(rhss[j], i, rhss[i] if j < i else int(eqs[i].sign is NU))
+    for j in range(len(eqs)):  # rhss[j] is over the solved X_0 ... X_(j-1)
+        while rhss[j] > 1:
+            rhss[j] = subst(rhss[j], top[rhss[j]], rhss[top[rhss[j]]])
+    return {eq.lhs: u == 1 for eq, u in zip(eqs, rhss)}

@@ -114,6 +114,24 @@ def test_node_identity_with_names_that_are_not_identifiers():
     )
 
 
+def test_deep_formulas_of_one_text():
+    # two different 1,000-level formulas of one text, at the interpreter's
+    # own recursion limit: their node keys once held the formulas, and
+    # hashing a key ran the dataclass __hash__, which recurses
+    MU, NU = bm.Fixpoint.MU, bm.Fixpoint.NU
+    nests = [And(Var("a && b"), Var("c")), And(And(Var("a"), Var("b")), Var("c"))]
+    for level in range(1000):
+        nests = [(And if level % 2 == 0 else Or)(Var("c"), f) for f in nests]
+    es = bm.system(
+        *(bm.Equation(MU, x, Var("c")) for x in ("a && b", "a", "b")),
+        bm.Equation(NU, "c", Var("c")),
+        bm.Equation(MU, "X", Or(*nests)),
+    )
+    g = bm.build_graph(es)
+    # the five variables, and 999 texts of two nodes each: X flattens the top level
+    assert (len(g.labels), len(set(g.labels))) == (2003, 1004)
+
+
 def test_build_graph_preconditions():
     # several inputs break more than one precondition; the first in the
     # order empty, closed, general syntax, bound formula is reported

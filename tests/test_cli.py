@@ -68,6 +68,15 @@ def test_check_missing_file_exit_1(capsys):
     assert err
 
 
+def test_non_utf8_file_exit_1(tmp_path, capsys):
+    # reading it once let a UnicodeDecodeError escape main
+    path = tmp_path / "latin1.bes"
+    path.write_bytes(b"mu X = X;\xff")
+    message = "error: 'utf-8' codec can't decode byte 0xff in position 9: invalid start byte\n"
+    for command in ("check", "solve", "graph", "minimize", "verify"):
+        assert run(capsys, command, str(path)) == (1, "", message), command
+
+
 def test_no_input_exit_1(capsys):
     code, _, err = run(capsys, "check")
     assert code == 1
@@ -419,9 +428,9 @@ def test_deep_input_probe(tmp_path, capsys):
         code, out, err = run(capsys, *command, str(alternating))
         assert (code, err) == (0, ""), command
     assert out == "PASS: 2 variables verified\n"
-    # ... and 1,000 levels, where format_formula, eval_formula and _subst once
-    # recursed, with either sign first, and twice as two equal subterms that
-    # build_graph's node keys compare
+    # ... and 1,000 levels, where format_formula, eval_formula and Gauss's
+    # substitution once recursed, with either sign first, and twice as two
+    # equal subterms that build_graph's node keys compare
     for level in range(700, 1000):
         term = f"X && ({term})" if level % 2 == 0 else f"Y || ({term})"
     for text in (

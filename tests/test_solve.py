@@ -123,6 +123,31 @@ def test_solvers_agree_on_random_systems():
         )
         es = bm.gen_bes(cfg)
         assert bm.solve_gauss(es) == oracle(es), bm.print_bes(es)
+    for n in range(9, 13):
+        for seed in range(10):
+            for gen in (bm.gen_bes, bm.gen_srf_bes):
+                es = gen(bm.GenConfig(variable_count=n, seed=seed))
+                assert bm.solve_gauss(es) == oracle(es), bm.print_bes(es)
+
+
+def test_gauss_at_sizes_the_oracle_refuses():
+    # Gauss once copied right-hand-side trees and substituted every solved
+    # variable into every earlier equation: it did not finish gen_bes n = 100
+    # in 30 s and took 5-10 s on each of the chains
+    es = bm.gen_bes(bm.GenConfig(variable_count=100, seed=0))
+    m = bm.pipeline(es)
+    solution, minimised = bm.solve_gauss(es), bm.solve_gauss(m.system)
+    image = {
+        label: m.names[b]
+        for d, label, b in zip(m.graph.deco, m.graph.labels, m.block_of)
+        if d.rank is not None
+    }
+    assert solution == {x: minimised[image[x]] for x in solution}
+    assert 0 < sum(solution.values()) < 100
+    hub = "nu H = " + " || ".join(f"X{i}" for i in range(3000)) + ";\n"
+    for text, count in ((hub + chain(3000), 3002), (chain(3000), 3001)):
+        solution = bm.solve_gauss(bm.parse_bes(text))
+        assert len(solution) == count and not any(solution.values())
 
 
 def test_oracle_environment_independence_on_closed_systems():
@@ -144,7 +169,7 @@ def test_solutions_in_binding_order():
 
 def test_gauss_solves_the_printed_minimised_hub():
     # translate nests the hub's 1,000 operands to the right, and both
-    # _subst and eval_formula walk that chain in a loop
+    # Gauss's node table and eval_formula read that chain in a loop
     hub = bm.parse_bes(
         "nu H = " + " || ".join(f"X{i}" for i in range(1000)) + ";\n"
         + "".join(f"nu X{i} = X{i + 1} && X{i + 1};\n" for i in range(1000))
