@@ -6,13 +6,15 @@ disjunctions are decorated ▲/▽ with same-connective nesting flattened,
 a change of leading operator produces an edge to the subterm node, and
 bound variables carry their rank and inherit the structure of their
 right-hand side.  ``build_srf_graph`` covers systems in standard
-recursive form.  ``reduce_graph`` eliminates constant nodes and
-``normalise_graph`` ranks the remaining unranked nodes, after which the
-graph translates back into an equation system in SRF.
+recursive form.  Both read each equation once, in one loop that goes on
+to the subterm nodes it finds.  ``reduce_graph`` eliminates constant
+nodes and ``normalise_graph`` ranks the remaining unranked nodes, after
+which the graph translates back into an equation system in SRF.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Optional
 
 from .errors import BesError, OpenSystemError, UnrankedCycleError
@@ -22,6 +24,7 @@ from .syntax import (
     TRUE,
     And,
     AndSet,
+    Const,
     EquationSystem,
     Formula,
     Or,
@@ -43,77 +46,99 @@ def _require_nonempty(es: EquationSystem) -> None:
         raise BesError("structure graphs are defined for non-empty systems")
 
 
-_OPS = {And: AND, AndSet: AND, Or: OR, OrSet: OR}
-_SRF_DECO = {cls: Decoration(op) for cls, op in _OPS.items()}
-_GENERAL_DECO = {And: _SRF_DECO[And], Or: _SRF_DECO[Or]}
 _CONSTANTS = {("true",): Decoration(TOP), ("false",): Decoration(BOT)}
+# the operator each class of formula gives its node, in each syntax
+_GENERAL_OPS = {And: AND, Or: OR, Var: NONE, Const: NONE}
+_SRF_OPS = {AndSet: AND, OrSet: OR, Var: NONE}
 
 
-def _graph(
-    es: EquationSystem, t: Formula, successors, term_deco: dict
-) -> StructureGraph:
+def _graph(es: EquationSystem, t: Formula, ops: dict) -> StructureGraph:
     """The closure of ``t`` and the bound variables, in id order.
 
     A node is keyed by a bound variable's name, or by a 1-tuple of the
     text of any other formula, so that ``Var("true")`` and the constant
     true stay apart; each further formula of one text (possible only with
-    names that are not identifiers) gets a key one ordinal longer.  Each
-    node's text, decoration and successor keys (``successors(f, key_of)``
-    of the formula or of the variable's right-hand side) are computed once,
-    and ``term_deco`` decorates each term by its class.  An unbound name,
-    or a term whose class ``term_deco`` lacks, raises ``KeyError``.  The
-    text is also the node's label and its sort key: constants first,
-    then the text, in a stable sort over the closure's insertion order,
-    which is the order ``formula_key`` gives.
+    names that are not identifiers) gets a key one ordinal longer.  One
+    loop reads each equation, then each subterm node it finds, and gives
+    the node its decoration (one per class and rank, the operator from
+    ``ops``) and its successor keys: the members of an n-ary connective,
+    or the leaves of the block of one connective, left to right, once
+    each.  An unbound name, or a class ``ops`` lacks, raises ``KeyError``.
+    The text is the label.  Constants come first, then the rest by label;
+    equal labels keep the order a depth-first search from ``t`` and the
+    variables meets them in, the order ``formula_key`` gives.
     """
-    rhs_map = {eq.lhs: eq.rhs for eq in es}
-    shared: dict = {}  # one Decoration per (connective, rank)
-    var_deco = {}
-    for x, r in ranks(es).items():
-        cls = rhs_map[x].__class__
-        key = (cls if cls in _OPS else None, r)
-        if key not in shared:
-            shared[key] = Decoration(_OPS.get(cls, NONE), r)
-        var_deco[x] = shared[key]
-    terms: dict = {}
+    shared: dict = {}  # (class, rank) -> Decoration
+    deco: dict = {}  # key -> Decoration
+    succ: dict = {}  # key -> successor keys; () for a constant
+    terms: dict = {}  # subterm key -> formula
+    subterms: list = []  # the worklist: subterm keys in the order found
 
     def key_of(f: Formula):
-        if f.__class__ is Var:
-            return f.name
+        if f.__class__ is Const:
+            key = ("true",) if f.value else ("false",)
+            succ[key] = ()
+            return key
         key = (format_formula(f),)
-        while terms.setdefault(key, f) is not f and not _equal(terms[key], f):
+        while key in terms and not _equal(terms[key], f):
             key += (len(key),)
+        if key not in terms:
+            terms[key] = f
+            subterms.append(key)
         return key
 
-    position: dict = {}
-    nodes: list = []  # (text, decoration, successor keys) in closure order
-    init = key_of(t)
-    stack = [init, *rhs_map]
-    while stack:
-        key = stack.pop()
-        if key in position:
-            continue
-        position[key] = len(nodes)
-        if key.__class__ is str:  # a bound variable
-            nodes.append((key, var_deco[key], successors(rhs_map[key], key_of)))
-        elif key in _CONSTANTS:
-            nodes.append((key[0], _CONSTANTS[key], []))
+    rank = ranks(es)
+    init = t.name if t.__class__ is Var else key_of(t)
+    variables = zip(rank, [eq.rhs for eq in es.equations], rank.values())
+    for x, f, r in chain(variables, ((key, terms[key], None) for key in subterms)):
+        cls = f.__class__
+        deco[x] = shared.get((cls, r)) or shared.setdefault((cls, r), Decoration(ops[cls], r))
+        if cls is And or cls is Or:
+            # down each left spine, as the parser nests chains to the left
+            keys: dict = {}
+            stack = [f]
+            while stack:
+                g = stack.pop()
+                while g.__class__ is cls:
+                    stack.append(g.right)
+                    g = g.left
+                if g.__class__ is Var:
+                    keys[g.name] = None
+                elif g is TRUE or g is FALSE:  # the parser's shared constants
+                    key = ("true",) if g is TRUE else ("false",)
+                    keys[key] = succ[key] = ()
+                else:
+                    keys[key_of(g)] = None
+            succ[x] = list(keys)
+        elif cls is Var:
+            succ[x] = [f.name]
         else:
-            f = terms[key]
-            nodes.append((key[0], term_deco[f.__class__], successors(f, key_of)))
-        stack.extend(nodes[-1][2])
-    first = [position[k] for k in _CONSTANTS if k in position]
-    texts = [node[0] for node in nodes]
-    order = first + sorted(
-        (i for i in range(len(nodes)) if i not in first), key=texts.__getitem__
-    )
-    closure = list(position)  # the keys in closure order
-    place = {closure[i]: j for j, i in enumerate(order)}  # key -> node position
+            succ[x] = sorted(f.members) if cls is AndSet or cls is OrSet else [key_of(f)]
+    order = [key for key in _CONSTANTS if key in succ]
+    deco.update((key, _CONSTANTS[key]) for key in order)
+    labels = [key[0] for key in order] + sorted([*rank, *(key[0] for key in subterms)])
+    rest = labels[len(order):]
+    if not subterms:
+        order += rest
+    elif len(set(rest)) == len(rest):
+        key_by_text = {key[0]: key for key in subterms}
+        order += [key_by_text.get(label, label) for label in rest]
+    else:  # equal labels, which keep the order a depth-first search meets them in
+        seen: dict = {}
+        stack = [init, *rank]
+        while stack:
+            key = stack.pop()
+            if key not in seen:
+                seen[key] = None
+                stack += succ[key]
+        label = lambda key: key if key.__class__ is str else key[0]
+        order += sorted((key for key in seen if key not in _CONSTANTS), key=label)
+    place = {key: j for j, key in enumerate(order)}
     return StructureGraph(
         place[init],
-        [nodes[i][1] for i in order],
-        [sorted(map(place.__getitem__, nodes[i][2])) for i in order],
-        [texts[i] for i in order],
+        list(map(deco.__getitem__, order)),
+        [sorted(map(place.__getitem__, keys)) for keys in map(succ.__getitem__, order)],
+        labels,
         _ids("n", len(order)),
     )
 
@@ -130,26 +155,6 @@ def _equal(f: Formula, g: Formula) -> bool:
         elif f != g:
             return False
     return True
-
-
-def _leaves(f: Formula, key_of) -> list:
-    """The leaves of the same-connective block at ``f``, left to right, once each."""
-    cls = f.__class__
-    if cls is not And and cls is not Or:
-        return [f.name] if cls is Var else [key_of(f)]
-    keys: dict = {}
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if g.__class__ is cls:
-            stack += g.right, g.left
-        elif g.__class__ is Var:
-            keys[g.name] = None  # as key_of keys a variable, without the call
-        elif g is TRUE or g is FALSE:  # and the shared constants
-            keys[("true",) if g is TRUE else ("false",)] = None
-        else:
-            keys[key_of(g)] = None
-    return list(keys)
 
 
 def _require_bound(es: EquationSystem, t: Formula) -> None:
@@ -170,7 +175,7 @@ def build_graph(es: EquationSystem, t: Optional[Formula] = None) -> StructureGra
     if t is None:
         t = Var(least_variable(es))
     try:
-        return _graph(es, t, _leaves, _GENERAL_DECO)
+        return _graph(es, t, _GENERAL_OPS)
     except KeyError:
         # the closure visits every subterm of t and of each right-hand side,
         # so it fails on any unbound name or n-ary connective; name the
@@ -199,7 +204,7 @@ def build_srf_graph(es: EquationSystem, t: Optional[Formula] = None) -> Structur
     if not isinstance(t, (Var, AndSet, OrSet)):
         raise BesError("formula is not in SRF syntax")
     _require_bound(es, t)
-    return _graph(es, t, lambda f, key_of: sorted(occ(f)), _SRF_DECO)
+    return _graph(es, t, _SRF_OPS)
 
 
 # ---------------------------------------------------------------------------

@@ -397,12 +397,18 @@ def to_dependency_graph(es: EquationSystem) -> StructureGraph:
 # Exchange formats
 
 
+# a label escapes \ and ", and as \uXXXX each character str.splitlines splits at
+_ESCAPE = {ord(c): f"\\u{ord(c):04x}" for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
+_ESCAPE |= {ord("\\"): "\\\\", ord('"'): '\\"'}
+_ESCAPED = re.compile(r'\\([\\"]|u[0-9a-fA-F]{4})')
+
+
 def _quote(label: str) -> str:
-    return '"' + label.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    return '"' + label.translate(_ESCAPE) + '"'
 
 
-def _unquote(quoted: str) -> str:
-    return quoted.replace('\\"', '"').replace("\\\\", "\\")
+def _unquote(quoted: str) -> str:  # one pass, so that \\n is \ and n
+    return _ESCAPED.sub(lambda m: m[1] if len(m[1]) == 1 else chr(int(m[1][1:], 16)), quoted)
 
 
 def serialize_graph(g: StructureGraph) -> str:

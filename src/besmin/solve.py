@@ -6,8 +6,9 @@ variables, and refusing systems of more than ``ORACLE_MAX_EQUATIONS``.
 ``solve_gauss`` eliminates from the last equation to the first and then
 substitutes forward, on a hash-consed table of integer nodes: 0 is false,
 1 is true, 2 + i is X_i, bound by equation i, and connectives ``(op, left,
-right)``, op 1 for a conjunction.  Substituting for X_i rebuilds only nodes
-whose ``top``, the greatest i they mention, is i.  No formula walk recurses.
+right)``, op 1 for a conjunction.  Substituting for X_i reads only the
+right-hand sides, and rebuilds only the nodes, whose ``top``, the greatest
+i they mention, is i.  No formula walk recurses.
 """
 
 from __future__ import annotations
@@ -162,10 +163,17 @@ def solve_gauss(es: EquationSystem) -> dict[str, bool]:
         return memo[u]
 
     rhss = [load(eq.rhs) for eq in eqs]
+    by_top: list = [[] for _ in eqs]  # by_top[i]: the j < i with top[rhss[j]] == i
+    for j, u in enumerate(rhss):
+        if top[u] > j:
+            by_top[top[u]].append(j)
     for i in reversed(range(len(eqs))):  # each rhss[j <= i] is over X_0 ... X_i
-        for j in range(i, -1, -1):  # X_i's own equation first, by its sign
-            if top[rhss[j]] == i:
-                rhss[j] = subst(rhss[j], i, rhss[i] if j < i else int(eqs[i].sign is NU))
+        if top[rhss[i]] == i:  # X_i's own equation first, by its sign
+            rhss[i] = subst(rhss[i], i, int(eqs[i].sign is NU))
+        for j in by_top[i]:
+            rhss[j] = u = subst(rhss[j], i, rhss[i])
+            if top[u] > j:  # else X_j's own step or back-substitution reads it
+                by_top[top[u]].append(j)
     for j in range(len(eqs)):  # rhss[j] is over the solved X_0 ... X_(j-1)
         while rhss[j] > 1:
             rhss[j] = subst(rhss[j], top[rhss[j]], rhss[top[rhss[j]]])

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import functools
 import gc
+import sys
 
 import pytest
 
@@ -15,6 +17,26 @@ def collector():
     enabled = gc.isenabled()
     yield
     (gc.enable if enabled else gc.disable)()
+
+
+# the recursion limit a besmin process starts with; Hypothesis raises it
+# around each example, which would hide a recursion once per nesting level
+RECURSION_LIMIT = sys.getrecursionlimit()
+
+
+def at_recursion_limit(test):
+    """``test`` run at ``RECURSION_LIMIT``; put it under ``@given``."""
+
+    @functools.wraps(test)
+    def run(*args, **kwargs):
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(RECURSION_LIMIT)
+        try:
+            return test(*args, **kwargs)
+        finally:
+            sys.setrecursionlimit(limit)
+
+    return run
 
 
 def oracle(es: bm.EquationSystem) -> dict[str, bool]:

@@ -1,10 +1,13 @@
 """Graph construction rules and the reduce/normalise transformations."""
 
+from functools import reduce
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import besmin as bm
-from besmin import And, Const, Decoration, Op, Or, Var
-from conftest import by_label, edges_by_label, graph
+from besmin import And, AndSet, Const, Decoration, Op, Or, OrSet, Var
+from conftest import at_recursion_limit, by_label, edges_by_label, graph
 
 
 def test_example_graph_nodes_and_edges():
@@ -286,3 +289,107 @@ def test_bisimilar_in_context():
     x, y = Var("X"), Var("Y")
     assert bm.bisimilar(bm.build_graph(es, x), bm.build_graph(es, x))
     assert not bm.bisimilar(bm.build_graph(es, x), bm.build_graph(es, y))  # ranks 1 vs 2
+
+
+# names that are not identifiers, so that texts collide: the variable
+# "a && b" and the subterm a && b, or (a && b) && c and "a && b" && c
+NAMES = ["a", "b", "c", "a && b", "b || c", "true"]
+# leaves that make such collisions common; the last equals the second
+# as another object
+A, B, C = Var("a"), Var("b"), Var("c")
+COLLIDING = [And(A, B), Or(B, C), And(And(A, B), C), And(Var("a && b"), C), Or(B, Var("c"))]
+MU, NU = bm.Fixpoint.MU, bm.Fixpoint.NU
+
+
+def _reference(es, t, srf: bool):
+    """The structure graph by the deduction rules, read naively: a node per
+    bound variable, constant and subterm whose connective differs from its
+    context; ``(init, deco, succ, labels)`` in the order ``build_graph``
+    documents."""
+    rank, rhs = bm.ranks(es), {eq.lhs: eq.rhs for eq in es}
+    op = {And: Op.AND, AndSet: Op.AND, Or: Op.OR, OrSet: Op.OR}
+
+    def node(f):  # a variable stands for its equation's node
+        return f.name if isinstance(f, Var) else f
+
+    def leaves(f, cls):  # of the block of cls at f, left to right
+        return leaves(f.left, cls) + leaves(f.right, cls) if isinstance(f, cls) else [f]
+
+    def successors(f):
+        if isinstance(f, (AndSet, OrSet)):
+            return sorted(f.members)
+        if isinstance(f, (And, Or)):
+            return list(dict.fromkeys(map(node, leaves(f, type(f)))))
+        return [node(f)]
+
+    def rule(u):  # decoration, successors and label of node u
+        if isinstance(u, str):
+            return Decoration(op.get(type(rhs[u]), Op.NONE), rank[u]), successors(rhs[u]), u
+        if isinstance(u, Const):
+            return Decoration(Op.TOP if u.value else Op.BOT), [], bm.format_formula(u)
+        return Decoration(op[type(u)]), successors(u), bm.format_formula(u)
+
+    closure, stack = {}, [node(t), *rhs]  # depth first, in the order popped
+    while stack:
+        u = stack.pop()
+        if u not in closure:
+            closure[u] = rule(u)
+            stack += closure[u][1]
+    constants = [u for u in (Const(True), Const(False)) if u in closure]
+    order = constants + sorted(
+        (u for u in closure if not isinstance(u, Const)), key=lambda u: closure[u][2]
+    )
+    position = {u: i for i, u in enumerate(order)}
+    return (
+        position[node(t)],
+        [closure[u][0] for u in order],
+        [sorted(position[v] for v in closure[u][1]) for u in order],
+        [closure[u][2] for u in order],
+    )
+
+
+def _chains(sub):  # a chain of one connective, nested to the left or to the right
+    def fold(cls, operands, left):
+        if left:
+            return reduce(cls, operands)
+        return reduce(lambda right, f: cls(f, right), reversed(operands))
+
+    return st.builds(
+        fold, st.sampled_from([And, Or]), st.lists(sub, min_size=2, max_size=5), st.booleans()
+    )
+
+
+def _formulas(names):
+    constants = [Const(True), Const(False), bm.parse_formula("true"), bm.parse_formula("false")]
+    leaves = st.sampled_from(constants) | st.sampled_from(names).map(Var)
+    colliding = [f for f in COLLIDING if bm.occ(f) <= set(names)]
+    if colliding:
+        leaves |= st.sampled_from(colliding)
+    return st.recursive(
+        leaves,
+        lambda sub: st.builds(And, sub, sub) | st.builds(Or, sub, sub) | _chains(sub),
+        max_leaves=12,
+    )
+
+
+@st.composite
+def _systems(draw, srf: bool):
+    names = draw(st.lists(st.sampled_from(NAMES), min_size=1, unique=True))
+    if srf:
+        members = st.frozensets(st.sampled_from(names), min_size=1)
+        formulas = st.sampled_from(names).map(Var) | members.map(AndSet) | members.map(OrSet)
+    else:
+        formulas = _formulas(names)
+    signs = st.sampled_from([MU, NU])
+    es = bm.system(*(bm.Equation(draw(signs), x, draw(formulas)) for x in names))
+    return es, draw(st.none() | formulas)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.booleans().flatmap(lambda srf: st.tuples(st.just(srf), _systems(srf))))
+@at_recursion_limit
+def test_build_matches_the_deduction_rules(case):
+    srf, (es, t) = case
+    g = (bm.build_srf_graph if srf else bm.build_graph)(es, t)
+    t = Var(es.equations[0].lhs) if t is None else t
+    assert (g.init, g.deco, g.succ, g.labels) == _reference(es, t, srf)

@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 import besmin as bm
 import besmin.verify
 from besmin.cli import main
-from conftest import chain
+from conftest import at_recursion_limit, chain
 
 
 def run(capsys, *argv):
@@ -478,24 +478,11 @@ def deep_systems(draw) -> str:
     return f"{x} X = {rhs}; {y} Y = X {op} Y;"
 
 
-# the recursion limit a besmin process starts with; Hypothesis raises it
-# around each example, which would hide a recursion once per nesting level
-RECURSION_LIMIT = sys.getrecursionlimit()
-
-
 @settings(max_examples=4, deadline=None)  # a deep example takes seconds
 @given(deep_systems())
+@at_recursion_limit
 def test_deep_input_fuzz(text):
     # no input raises out of main, however deep it nests or long it chains
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(RECURSION_LIMIT)
-    try:
-        _run_every_command(text)
-    finally:
-        sys.setrecursionlimit(limit)
-
-
-def _run_every_command(text: str) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "deep.bes")
         with open(path, "w") as handle:

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 import besmin as bm
 import besmin.graph
 from besmin import Decoration, Op, StructureGraph
-from conftest import by_label, chain, graph, relabelled
+from conftest import at_recursion_limit, by_label, chain, graph, relabelled
 
 
 def test_structure_graph_validation():
@@ -231,6 +231,7 @@ def refinement_inputs(draw):
 
 @settings(max_examples=500, deadline=None)
 @given(refinement_inputs())
+@at_recursion_limit
 def test_refine_matches_the_naive_rounds(case):
     succs, keys = case
     assert besmin.graph._refine(succs, keys) == _naive_refine(succs, keys)
@@ -386,6 +387,22 @@ def test_serialize_quoting():
     deco = {"a": Decoration(Op.NONE, 0)}
     g = graph("a", deco, [("a", "a")], {"a": 'we "quote" \\'})
     assert bm.parse_graph(bm.serialize_graph(g)) == g
+
+
+def test_labels_with_line_breaks_round_trip():
+    # each character str.splitlines splits at is escaped, read back in one
+    # pass with the backslash and the quote; other labels keep their bytes
+    breaks = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+    assert len(("x" + "x".join(breaks) + "x").splitlines()) == 11
+    for c in breaks:
+        for name in (c, f"a{c}b", f'\\{c}"', f'"\\n{c}\\u2028\\', f"\\u{ord(c):04x}"):
+            es = bm.system(bm.Equation(bm.Fixpoint.NU, name, bm.Var(name)))
+            g = bm.build_graph(es)
+            text = bm.serialize_graph(g)
+            assert len(text.splitlines()) == 4, text
+            assert bm.parse_graph(text) == g
+    g = bm.build_graph(bm.system(bm.Equation(bm.Fixpoint.NU, 'a\\"\tb', bm.Var('a\\"\tb'))))
+    assert 'label="a\\\\\\"\tb"' in bm.serialize_graph(g)
 
 
 def test_parse_graph_rejections():

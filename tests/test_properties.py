@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import besmin as bm
 from besmin import And, AndSet, Const, Equation, EquationSystem, Fixpoint, Or, OrSet, Var
-from conftest import oracle
+from conftest import at_recursion_limit, oracle
 
 NAMES = ["P", "Q", "R", "S"]
 
@@ -40,18 +40,21 @@ def systems(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(systems())
+@at_recursion_limit
 def test_parse_print_identity(es):
     assert bm.parse_bes(bm.print_bes(es)) == es
 
 
 @settings(max_examples=100, deadline=None)
 @given(systems())
+@at_recursion_limit
 def test_solvers_agree(es):
     assert bm.solve_gauss(es) == oracle(es)
 
 
 @settings(max_examples=100, deadline=None)
 @given(systems())
+@at_recursion_limit
 def test_rank_parity_and_hierarchy(es):
     rank_map = bm.ranks(es)
     for eq in es:
@@ -63,6 +66,7 @@ def test_rank_parity_and_hierarchy(es):
 
 @settings(max_examples=75, deadline=None)
 @given(systems())
+@at_recursion_limit
 def test_built_graph_is_bessy_and_round_trips(es):
     g = bm.build_graph(es)
     assert bm.is_bessy(g) == []
@@ -72,6 +76,7 @@ def test_built_graph_is_bessy_and_round_trips(es):
 
 @settings(max_examples=50, deadline=None)
 @given(systems())
+@at_recursion_limit
 def test_minimize_shrinks_and_preserves_solution(es):
     g = bm.normalise_graph(bm.reduce_graph(bm.build_graph(es)))
     quotient, _ = bm.minimize(g)
@@ -84,6 +89,7 @@ def test_minimize_shrinks_and_preserves_solution(es):
 
 @settings(max_examples=50, deadline=None)
 @given(systems())
+@at_recursion_limit
 def test_srf_conversion_properties(es):
     check_srf_conversion(es)
 
@@ -124,12 +130,14 @@ def systems_with_set_atoms(draw):
 
 @settings(max_examples=50, deadline=None)
 @given(systems_with_set_atoms())
+@at_recursion_limit
 def test_srf_conversion_with_set_atoms(es):
     check_srf_conversion(es)
 
 
 @settings(max_examples=40, deadline=None)
 @given(systems())
+@at_recursion_limit
 def test_size_monotone_under_minimisation(es):
     minimised = bm.pipeline(es).system
     assert len(minimised.equations) <= len(es.equations)
@@ -155,6 +163,7 @@ def texts(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(texts())
+@at_recursion_limit
 def test_parser_accepts_or_reports_a_position(text):
     lines = text.split("\n")
     for parse in (bm.parse_bes, bm.parse_formula):
@@ -184,6 +193,7 @@ GAPS = st.lists(
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(1, 6), st.integers(0, 10**6), st.data())
+@at_recursion_limit
 def test_white_space_and_comments_between_tokens_change_nothing(n, seed, data):
     cfg = bm.GenConfig(variable_count=n, max_rhs_depth=3, constant_probability=0.2, seed=seed)
     printed = bm.print_bes(bm.gen_bes(cfg))
