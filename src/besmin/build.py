@@ -80,7 +80,7 @@ def _graph(es: EquationSystem, t: Formula, ops: dict) -> StructureGraph:
             succ[key] = ()
             return key
         key = (format_formula(f),)
-        while key in terms and not _equal(terms[key], f):
+        while key in terms and terms[key] is not f and not _equal(terms[key], f):
             key += (len(key),)
         if key not in terms:
             terms[key] = f
@@ -118,11 +118,9 @@ def _graph(es: EquationSystem, t: Formula, ops: dict) -> StructureGraph:
     deco.update((key, _CONSTANTS[key]) for key in order)
     labels = [key[0] for key in order] + sorted([*rank, *(key[0] for key in subterms)])
     rest = labels[len(order):]
-    if not subterms:
-        order += rest
-    elif len(set(rest)) == len(rest):
-        key_by_text = {key[0]: key for key in subterms}
-        order += [key_by_text.get(label, label) for label in rest]
+    key_by_text = {key[0]: key for key in subterms}
+    if len(key_by_text) == len(subterms) and rank.keys().isdisjoint(key_by_text):
+        order += map(key_by_text.get, rest, rest)
     else:  # equal labels, which keep the order a depth-first search meets them in
         seen: dict = {}
         stack = [init, *rank]

@@ -397,14 +397,17 @@ def to_dependency_graph(es: EquationSystem) -> StructureGraph:
 # Exchange formats
 
 
-# a label escapes \ and ", and as \uXXXX each character str.splitlines splits at
-_ESCAPE = {ord(c): f"\\u{ord(c):04x}" for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
-_ESCAPE |= {ord("\\"): "\\\\", ord('"'): '\\"'}
+# a label escapes \ and "; an sgraph label also escapes, as \uXXXX, each
+# character str.splitlines splits at, which DOT keeps as it is
+_ESCAPE = {ord("\\"): "\\\\", ord('"'): '\\"'}
+_SGRAPH_ESCAPE = _ESCAPE | {
+    ord(c): f"\\u{ord(c):04x}" for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+}
 _ESCAPED = re.compile(r'\\([\\"]|u[0-9a-fA-F]{4})')
 
 
-def _quote(label: str) -> str:
-    return '"' + label.translate(_ESCAPE) + '"'
+def _quote(label: str, escape: dict = _ESCAPE) -> str:
+    return '"' + label.translate(escape) + '"'
 
 
 def _unquote(quoted: str) -> str:  # one pass, so that \\n is \ and n
@@ -415,9 +418,8 @@ def serialize_graph(g: StructureGraph) -> str:
     lines = ["sgraph v1", f"init {g.ids[g.init]}"]
     for u, d in enumerate(g.deco):
         rank = "-" if d.rank is None else d.rank
-        lines.append(
-            f"node {g.ids[u]} op={d.op._value_} ranks={rank} label={_quote(g.labels[u])}"
-        )
+        label = _quote(g.labels[u], _SGRAPH_ESCAPE)
+        lines.append(f"node {g.ids[u]} op={d.op._value_} ranks={rank} label={label}")
     for a, b in g.edges:
         lines.append(f"edge {g.ids[a]} {g.ids[b]}")
     return "".join(line + "\n" for line in lines)

@@ -401,6 +401,9 @@ def test_labels_with_line_breaks_round_trip():
             text = bm.serialize_graph(g)
             assert len(text.splitlines()) == 4, text
             assert bm.parse_graph(text) == g
+            # DOT escapes only \ and ", as Graphviz reads no \uXXXX escapes
+            dot = name.replace("\\", "\\\\").replace('"', '\\"')
+            assert f'label="{dot}\\\\n' in bm.to_dot(g)
     g = bm.build_graph(bm.system(bm.Equation(bm.Fixpoint.NU, 'a\\"\tb', bm.Var('a\\"\tb'))))
     assert 'label="a\\\\\\"\tb"' in bm.serialize_graph(g)
 
