@@ -118,7 +118,7 @@ def _cmd_minimize(args) -> int:
     by_name = dict(zip(m.names, members))
     lines = [print_bes(m.system), "---\n", f"equations: {len(m.system.equations)}\n"]
     for eq in m.system:
-        lines.append(f"{eq.lhs} <= {{{', '.join(sorted(by_name[eq.lhs]))}}}\n")
+        lines.append(f"{eq.lhs} <= {{{', '.join(by_name[eq.lhs])}}}\n")
     sys.stdout.write("".join(lines))
     return EXIT_OK
 

@@ -80,17 +80,6 @@ class StructureGraph:
         return [(u, v) for u, vs in enumerate(self.succ) for v in vs]
 
 
-def _label_order(labels: list[str]) -> list[int]:
-    """The positions in label order: every ``true`` node, then every
-    ``false`` node, then the rest by label; ties keep position order."""
-    rest = [u for u, label in enumerate(labels) if label != "true" and label != "false"]
-    return (
-        [u for u, label in enumerate(labels) if label == "true"]
-        + [u for u, label in enumerate(labels) if label == "false"]
-        + sorted(rest, key=labels.__getitem__)
-    )
-
-
 def _ids(prefix: str, n: int) -> list[str]:
     """``prefix`` and 0 … n - 1, zero-padded to one width to sort as numbers."""
     width = len(str(max(n - 1, 0)))
@@ -203,15 +192,14 @@ def _nest(op, operands: list[tuple]) -> Formula:
 
 
 def translate(g: StructureGraph) -> tuple[Formula, EquationSystem, list[str]]:
-    """Translate a BESsy graph; also returns each node's variable name."""
+    """Translate a BESsy graph; also returns each node's variable name, ``X0``,
+    ``X1``, …: ranked nodes by rank, then position; other nodes by position."""
     violations, order = _validate(g)
     if violations:
         raise NotBessyError("; ".join(violations))
     rank = [d.rank for d in g.deco]
-    by_label = _label_order(g.labels)
-    # a stable sort by rank buckets the label order
-    ranked = sorted([u for u in by_label if rank[u] is not None], key=rank.__getitem__)
-    rest = [u for u in by_label if rank[u] is None]
+    ranked = sorted([u for u, r in enumerate(rank) if r is not None], key=rank.__getitem__)
+    rest = [u for u, r in enumerate(rank) if r is None]
     names = [""] * len(g.ids)
     for i, u in enumerate(ranked + rest):
         names[u] = f"X{i}"
@@ -250,7 +238,7 @@ def _refine(succs: list[list[int]], keys: list) -> list[int]:
     ``succs[i]`` lists the successor positions of position ``i``.  A
     node's signature is its block and the set of its successors' blocks;
     each round regroups the nodes by signature, until no block splits.
-    Blocks are numbered by their first member.
+    Blocks are numbered by their first member; ``minimize`` relies on it.
 
     The rounds start from the partition by key and by whether a node has
     successors, which is stable with respect to the whole node set.  Each
@@ -330,17 +318,15 @@ def minimize(g: StructureGraph) -> tuple[StructureGraph, list[int]]:
     """Quotient under the coarsest decoration-respecting bisimulation.
 
     Returns the quotient graph and ``block_of``, the block position of each
-    node.  Blocks are numbered by their first member in label order, so
-    each block carries its least label, and block ``b`` is named ``b{b}``.
+    node.  Blocks are numbered by their first member, as ``_refine``
+    numbers them, so each block carries its first member's decoration and
+    label, and block ``b`` is named ``b{b}``.
     """
-    refined = _refine(g.succ, g.deco)
-    number = [-1] * len(g.ids)  # refined block -> block position
-    first: list[int] = []  # the first member of each block, in label order
-    for u in _label_order(g.labels):
-        if number[refined[u]] < 0:
-            number[refined[u]] = len(first)
+    block_of = _refine(g.succ, g.deco)
+    first: list[int] = []  # the first member of each block
+    for u, b in enumerate(block_of):
+        if b == len(first):
             first.append(u)
-    block_of = [number[b] for b in refined]
     images = [{block_of[v] for v in vs} for vs in g.succ]  # successor blocks
     quotient = StructureGraph(
         block_of[g.init],
@@ -476,11 +462,11 @@ def parse_graph(text: str) -> StructureGraph:
 def to_dot(g: StructureGraph) -> str:
     lines = ["digraph sgraph {"]
     for u, d in enumerate(g.deco):
-        symbol = _OP_SYMBOL[d.op]
         rank = "" if d.rank is None else str(d.rank)
-        deco_text = " ".join(part for part in (symbol, rank) if part)
-        label = g.labels[u] + ("\\n" + deco_text if deco_text else "")
-        attrs = f"label={_quote(label)}"
+        deco_text = " ".join(part for part in (_OP_SYMBOL[d.op], rank) if part)
+        # the escaped label, then a DOT line break and the decoration
+        label = g.labels[u].translate(_ESCAPE) + ("\\n" + deco_text if deco_text else "")
+        attrs = f'label="{label}"'
         if u == g.init:
             attrs += ", peripheries=2"
         lines.append(f"  {_quote(g.ids[u])} [{attrs}];")

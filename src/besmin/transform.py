@@ -25,10 +25,11 @@ def to_srf(es: EquationSystem) -> EquationSystem:
     """Rewrite a closed system into standard recursive form.
 
     Fresh equations are introduced for maximal subterms whose leading
-    operator differs from their context, placed directly after the host
-    equation with the host's sign; constants become dedicated
-    self-referential equations appended at the end.  Solutions of the
-    original bound variables are preserved.
+    operator differs from their context, named ``X_1``, ``X_2``, … after
+    the host equation ``X`` at any depth and placed directly after it
+    with its sign; constants become dedicated self-referential equations
+    appended at the end.  Solutions of the original bound variables are
+    preserved.
     """
     if not es.equations:
         raise BesError("cannot convert the empty system to SRF")
@@ -36,11 +37,13 @@ def to_srf(es: EquationSystem) -> EquationSystem:
     if is_srf(es):
         return es
     taken = bnd(es)
+    last: dict[str, int] = {}  # base -> its last number; every lower one is taken
 
     def fresh(base: str) -> str:
-        k = 1
+        k = last.get(base, 0) + 1
         while f"{base}_{k}" in taken:
             k += 1
+        last[base] = k
         taken.add(f"{base}_{k}")
         return f"{base}_{k}"
 
@@ -82,7 +85,7 @@ def to_srf(es: EquationSystem) -> EquationSystem:
             elif f.__class__ is Const:
                 members.append(constant(f.value))
             else:
-                members.append(fresh(x))
+                members.append(fresh(eq.lhs))
                 if f.__class__ is And or f.__class__ is Or:
                     stack.append((members[-1], f.__class__, [f], []))
                 else:

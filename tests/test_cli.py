@@ -139,6 +139,9 @@ def test_graph_dot_output(capsys):
     )
     assert code == 0
     assert out.startswith("digraph sgraph {")
+    # one backslash: Graphviz reads \n as a line break and \\n as a backslash
+    assert '"n0" [label="X_s0\\n0", peripheries=2];\n' in out
+    assert "\\\\" not in out
 
 
 def test_graph_normalise(capsys):
@@ -507,7 +510,7 @@ OUTPUT_DIGESTS = {
         ("check",): "4f34130c7b63d6711d2623ae7e8d3e0be57c813d5995d355134fa221c4e9d6dd",
         ("graph",): "1151e5dfb16c1d2a9e82c8739f10515b8196a9c670c66dfbd7134a3cc325b428",
         ("graph", "--normalise"): "53a3559d1a7cbe46b011eebf05b67739367af38143b3bdbedc11782ca5dd29c8",
-        ("graph", "--out", "dot"): "72f9f839521f5f1f7593deddd1a7bcbf2f2dce3840d96e915a467272e5c7c2c4",
+        ("graph", "--out", "dot"): "63bbd028d70e722e08c6aaeeac96e39459b1a8c542495104fb4362b8a2143e18",
         ("minimize", "--emit", "graph"): "2ad6c39b8a5ce112c5901cebbd0c4b1ba4bdeae929569ab5e8afcdba1ff9e132",
         ("minimize", "--emit", "bes"): "29eb3240861ea07716530e921040328d25082c41ebcd56c4527666df3680b7d6",
     },
@@ -515,7 +518,7 @@ OUTPUT_DIGESTS = {
         ("check",): "7fb21376901cfddc18bb12962b47de0be28421e25eb1e7ca4f77e3f28a173919",
         ("graph",): "6ae7e75c6bd4a5cbd2cadc0a5b316f2114de2104afdec50fb0d12914937df729",
         ("graph", "--normalise"): "6ae7e75c6bd4a5cbd2cadc0a5b316f2114de2104afdec50fb0d12914937df729",
-        ("graph", "--out", "dot"): "907cb97e4f542f13b95606d79b72b63ed090d636101803a433ba9a9a2406cac5",
+        ("graph", "--out", "dot"): "e8ea85f625fe52aca5e38a87ef4cc04174b06882e248c2e002621c4f40a53bcf",
         ("minimize", "--emit", "graph"): "c94b7df138f06b282d9d002e1e3e0f7918f7182f4e3d271a902d90b9a625572e",
         ("minimize", "--emit", "bes"): "aaa845ffe3a50f1dea56d385e4c675ecc20ba810e308198ab41199db0a2a18ea",
     },
@@ -523,7 +526,7 @@ OUTPUT_DIGESTS = {
         ("check",): "e01380035d6d408375b54e4f54401e779e6a2ffc433bea7fab820cbb8c62cfc8",
         ("graph",): "3daa97f21c9260d91a2090828e3cdd98ace2745e6e2d33f71354b42bbacbacf5",
         ("graph", "--normalise"): "e5d05aa898e1efc5c8b5f5774dc16b682be3d840dad9e7e51cca181f3e1e40dd",
-        ("graph", "--out", "dot"): "3a4a2c43f52e1cfe9d192e4ce7166e39511d013968d2c17063182c33bc4337fe",
+        ("graph", "--out", "dot"): "ef3351131946d21dfe6084041f91b8e66c8a5e5656b24822b12f4c822fea923a",
         ("minimize", "--emit", "graph"): "4a9f5e05273574a8d514e24782102c74da7562babf73dc0723c5686cae1bfbde",
         ("minimize", "--emit", "bes"): "4c6f90437d32170f643c5b64e39cdc4a9d0909002b45d725db8f0ca51bd81483",
     },
@@ -554,6 +557,10 @@ GENERATED_DIGESTS = {
         ("graph", "--normalise"): "2272f60e50e2248955adf5c496d949010ecbd41d9f249705a1f096a16eecfd4e",
         ("minimize", "--emit", "graph"): "9930403ce48f3cdab1c3f2b7847d5c3c0e26e1d3666770b4dc68fd7ba96b0333",
         ("minimize", "--emit", "bes"): "95d834f2c0f7690e868dc087bd48f5fc1eff32bd91c66be11bf59916238cb5db",
+    },
+    (bm.gen_bes, 1200, 1): {
+        ("minimize", "--emit", "graph"): "92465ba8cecc63fbab3e4c53ff19499277abb3747446505350acab2838303fe9",
+        ("minimize", "--emit", "bes"): "4f36f4abea4888f58d9eac1c7232242b420e6a7d26c5851fd4a5414ef129b24d",
     },
     (bm.gen_srf_bes, 8, 0): {
         ("graph", "--srf"): "d99846928259c946cedcd9384ec26458acf1ed5aca515effc04760216e3cde57",

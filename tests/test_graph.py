@@ -9,6 +9,7 @@ import besmin as bm
 import besmin.graph
 from besmin import Decoration, Op, StructureGraph
 from conftest import at_recursion_limit, by_label, chain, graph, relabelled
+from test_properties import systems
 
 
 def test_structure_graph_validation():
@@ -257,7 +258,8 @@ def test_minimize_hub_over_a_long_chain():
 
 def test_minimize_hand_built_graph():
     # node ids out of label order, and labels shared within a block ("Y")
-    # and across blocks ("V"): blocks are numbered by their least label
+    # and across blocks ("V"): blocks are numbered by their first member in
+    # position order, whatever the labels
     deco = {
         "n0": Decoration(Op.NONE, 2),
         "n1": Decoration(Op.OR, 1),
@@ -271,23 +273,28 @@ def test_minimize_hand_built_graph():
     labels = {"n0": "Y", "n1": "X", "n2": "Y", "n3": "W", "n4": "V", "n5": "false", "n6": "U", "n7": "V"}
     edges = {("n0", "n3"), ("n1", "n0"), ("n1", "n2"), ("n1", "n7"), ("n2", "n4")}
     edges |= {("n3", "n3"), ("n4", "n4"), ("n6", "n5"), ("n6", "n1"), ("n7", "n7")}
-    quotient, block_of = bm.minimize(graph("n6", deco, edges, labels))
-    # n0 -> b5, n1 -> b4, n2 -> b5, n3 -> b2, n4 -> b2, n5 -> b0, n6 -> b1, n7 -> b3
-    assert block_of == [5, 4, 5, 2, 2, 0, 1, 3]
+    g = graph("n6", deco, edges, labels)
+    quotient, block_of = bm.minimize(g)
+    # n0 -> b0, n1 -> b1, n2 -> b0, n3 -> b2, n4 -> b2, n5 -> b3, n6 -> b4, n7 -> b5
+    assert block_of == [0, 1, 0, 2, 2, 3, 4, 5]
     assert bm.serialize_graph(quotient) == (
-        "sgraph v1\ninit b1\n"
-        'node b0 op=bot ranks=- label="false"\n'
-        'node b1 op=and ranks=- label="U"\n'
-        'node b2 op=none ranks=0 label="V"\n'
-        'node b3 op=none ranks=1 label="V"\n'
-        'node b4 op=or ranks=1 label="X"\n'
-        'node b5 op=none ranks=2 label="Y"\n'
-        "edge b1 b0\nedge b1 b4\nedge b2 b2\nedge b3 b3\nedge b4 b3\nedge b4 b5\nedge b5 b2\n"
+        "sgraph v1\ninit b4\n"
+        'node b0 op=none ranks=2 label="Y"\n'
+        'node b1 op=or ranks=1 label="X"\n'
+        'node b2 op=none ranks=0 label="W"\n'
+        'node b3 op=bot ranks=- label="false"\n'
+        'node b4 op=and ranks=- label="U"\n'
+        'node b5 op=none ranks=1 label="V"\n'
+        "edge b0 b2\nedge b1 b0\nedge b1 b5\nedge b2 b2\nedge b4 b1\nedge b4 b3\nedge b5 b5\n"
     )
+    # ranked nodes by rank and then position, then the others by position
+    assert bm.translate(g)[2] == ["X4", "X2", "X5", "X0", "X1", "X6", "X7", "X3"]
+    assert bm.translate(quotient)[2] == ["X3", "X1", "X0", "X4", "X5", "X2"]
 
 
 def _old_node_key(labels):
-    # true before false before everything else, then by label, then by position
+    # the reference label order: true before false before everything else,
+    # then by label, then by position
     def key(u):
         label = labels[u]
         if label in ("true", "false"):
@@ -297,8 +304,8 @@ def _old_node_key(labels):
 
 
 def _old_names(g):
-    # translate's naming, sorted with the explicit key: ranked nodes by rank
-    # and then in label order, then the unranked ones in label order
+    # translate's naming in label order: ranked nodes by rank and then in
+    # label order, then the unranked ones in label order
     key = _old_node_key(g.labels)
     ranked = sorted(
         (u for u, d in enumerate(g.deco) if d.rank is not None),
@@ -311,9 +318,37 @@ def _old_names(g):
     return names
 
 
+def _old_blocks(g, block_of):
+    # the blocks renumbered in the order their first members take in label order
+    first_seen: dict[int, int] = {}
+    for u in sorted(range(len(g.ids)), key=_old_node_key(g.labels)):
+        first_seen.setdefault(block_of[u], len(first_seen))
+    return [first_seen[b] for b in block_of]
+
+
+def _generated(n, seed):
+    return bm.gen_bes(bm.GenConfig(variable_count=n, seed=seed))
+
+
+@settings(max_examples=150, deadline=None)
+@given(systems() | st.builds(_generated, st.integers(1, 40), st.integers(0, 2**16)))
+@at_recursion_limit
+def test_position_numbering_is_label_numbering_on_parsed_systems(es):
+    # a system the parser can produce builds a graph in label order, so
+    # position numbering gives the blocks and names label order gave
+    assert bm.parse_bes(bm.print_bes(es)) == es
+    g = bm.build_graph(es)
+    for view in (g, bm.reduce_graph(g), bm.normalise_graph(bm.reduce_graph(g))):
+        quotient, block_of = bm.minimize(view)
+        assert block_of == _old_blocks(view, block_of)
+        for h in (view, quotient):
+            assert bm.translate(h)[2] == _old_names(h)
+
+
 def test_label_order_with_repeated_constants():
     # ids out of label order; two ⊤ nodes labelled "true" share a block, and
-    # a ranked node after them is labelled "true" as well
+    # a ranked node after them is labelled "true" as well: blocks and names
+    # follow positions, not labels
     g = bm.parse_graph(
         "sgraph v1\ninit n4\n"
         'node n0 op=or ranks=1 label="Z"\n'
@@ -326,16 +361,13 @@ def test_label_order_with_repeated_constants():
         "edge n0 n2\nedge n0 n6\nedge n4 n0\nedge n4 n1\nedge n5 n5\nedge n6 n5\n"
     )
     quotient, block_of = bm.minimize(g)
-    assert block_of == [5, 0, 2, 0, 3, 1, 4]
-    # blocks are numbered in the order their first members take in label order
-    first_seen: dict[int, int] = {}
-    for u in sorted(range(len(g.ids)), key=_old_node_key(g.labels)):
-        first_seen.setdefault(block_of[u], len(first_seen))
-    assert [first_seen[b] for b in block_of] == block_of
-    assert quotient.labels == ["true", "true", "false", "A", "Y", "Z"]
-    assert bm.translate(g)[2] == _old_names(g) == ["X2", "X3", "X5", "X4", "X6", "X0", "X1"]
-    assert bm.translate(quotient)[2] == _old_names(quotient)
-    assert _old_names(quotient) == ["X3", "X0", "X4", "X5", "X1", "X2"]
+    assert block_of == [0, 1, 2, 1, 3, 4, 5]
+    assert quotient.labels == ["Z", "true", "false", "A", "true", "Y"]
+    assert bm.translate(g)[2] == ["X1", "X3", "X4", "X5", "X6", "X0", "X2"]
+    assert bm.translate(quotient)[2] == ["X1", "X3", "X4", "X5", "X0", "X2"]
+    # label order would have numbered them otherwise
+    assert _old_blocks(g, block_of) == [5, 0, 2, 0, 3, 1, 4]
+    assert _old_names(g) == ["X2", "X3", "X5", "X4", "X6", "X0", "X1"]
 
 
 def test_minimize_is_idempotent():
@@ -401,9 +433,10 @@ def test_labels_with_line_breaks_round_trip():
             text = bm.serialize_graph(g)
             assert len(text.splitlines()) == 4, text
             assert bm.parse_graph(text) == g
-            # DOT escapes only \ and ", as Graphviz reads no \uXXXX escapes
+            # DOT escapes only \ and ", as Graphviz reads no \uXXXX escapes;
+            # one \n, a DOT line break, separates the decoration
             dot = name.replace("\\", "\\\\").replace('"', '\\"')
-            assert f'label="{dot}\\\\n' in bm.to_dot(g)
+            assert f'label="{dot}\\n0"' in bm.to_dot(g)
     g = bm.build_graph(bm.system(bm.Equation(bm.Fixpoint.NU, 'a\\"\tb', bm.Var('a\\"\tb'))))
     assert 'label="a\\\\\\"\tb"' in bm.serialize_graph(g)
 

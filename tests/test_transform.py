@@ -35,7 +35,8 @@ def test_to_srf_constants():
 
 def test_to_srf_names_and_order_are_pinned():
     # aux names are drawn in pre-order, left to right, interleaved with the
-    # constants' names; a nested block's equation follows the blocks it holds
+    # constants' names, each after its host equation at any depth; a nested
+    # block's equation follows the blocks it holds
     es = bm.parse_bes(
         "mu X = X && (Y || (X && (Y || true)));"
         "nu Y = (X || false) && OR{X,Y} && AND{Y} && Y;"
@@ -44,15 +45,15 @@ def test_to_srf_names_and_order_are_pinned():
     )
     assert bm.print_bes(bm.to_srf(es)) == (
         "mu X = AND{X,X_1};\n"
-        "mu X_1_1_1 = OR{TRUE_1,Y};\n"
-        "mu X_1_1 = AND{X,X_1_1_1};\n"
-        "mu X_1 = OR{X_1_1,Y};\n"
+        "mu X_3 = OR{TRUE_1,Y};\n"
+        "mu X_2 = AND{X,X_3};\n"
+        "mu X_1 = OR{X_2,Y};\n"
         "nu Y = AND{Y,Y_1,Y_2};\n"
         "nu Y_1 = OR{FALSE_1,X};\n"
         "nu Y_2 = OR{X,Y};\n"
         "mu TRUE = OR{FALSE_1,TRUE_2,X};\n"
-        "mu TRUE_2_1 = OR{TRUE_1,X};\n"
-        "mu TRUE_2 = AND{TRUE_2_1,Y};\n"
+        "mu TRUE_3 = OR{TRUE_1,X};\n"
+        "mu TRUE_2 = AND{TRUE_3,Y};\n"
         "nu Z = FALSE_1;\n"
         "nu TRUE_1 = TRUE_1;\n"
         "mu FALSE_1 = FALSE_1;\n"
@@ -119,13 +120,16 @@ def test_long_blocks_do_not_recurse():
     assert levels == 3000
     text = " || (".join(names) + " || " + names[-1] + ")" * 2999
     assert bm.format_formula(f) == text
-    # X && (Y || (X && ...)) nested 3,000 levels: one equation per level
+    # X && (Y || (X && ...)) nested 3,000 levels: one equation per level,
+    # each named after the host, so the text grows linearly with the depth
     f = Var("X")
     for level in range(3000):
         f = And(Var("X"), f) if level % 2 else Or(Var("Y"), f)
     srf = bm.to_srf(bm.system(bm.Equation(MU, "X", f), bm.Equation(NU, "Y", Var("X"))))
     assert len(srf.equations) == 3001
-    assert [eq.lhs for eq in srf.equations[:3]] == ["X", "X_1" + "_1" * 2998, "X_1" + "_1" * 2997]
+    assert [eq.lhs for eq in srf.equations[:3]] == ["X", "X_2999", "X_2998"]
+    assert srf.equations[-2].lhs == "X_1"
+    assert len(bm.print_bes(srf)) < 30 * 3001
     assert srf.equations[0].rhs == AndSet(frozenset({"X", "X_1"}))
     assert srf.equations[1].rhs == OrSet(frozenset({"X", "Y"}))
     assert srf.equations[-1] == bm.Equation(NU, "Y", Var("X"))
