@@ -15,10 +15,19 @@ digits, underscores and primes.  "//" starts a line comment.  Chained
 same-operator formulas parse to a left-nested binary AST; parentheses
 are preserved as explicit nesting.
 
-One ``findall`` pass of a regular expression gives the token texts,
-one match per token or comment; white space (space, tab, CR and LF) is
-never matched.  Comments are dropped only if the text holds a "//", and
-the empty text ends the input.  A token's kind is the token itself for
+White space is exactly space, tab, CR and LF.  Comments are cut out
+first.  If what is left is ASCII, holds only letters, digits,
+underscores, primes, white space and operator characters, and every "&"
+and "|" is half of an "&&" or "||", the operators are padded with spaces
+by ``str.replace`` and ``str.split`` gives the tokens.  Every other token
+is then a maximal run of letters, digits, underscores and primes: the
+identifier a regular expression would match if it starts with a letter
+or underscore, and a word that fails the parse otherwise.  A text the
+split declines holds an unexpected character outside comments.  A text
+that fails, or is declined, is parsed again on the tokens of a regular
+expression, one match per token or comment, which raises the error with
+its line and column: the regular expression only reports errors.  The
+empty text ends the input.  A token's kind is the token itself for
 keywords and operators, an identifier if it starts with an ASCII letter
 or underscore, and an unexpected character otherwise.
 Formulas are read by one loop that keeps the enclosing disjunction and
@@ -57,6 +66,10 @@ from .syntax import (
 # unexpected character
 _TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*|&&|\|\||//[^\n]*|[^ \t\r\n]")
 
+_COMMENT_RE = re.compile(r"//[^\n]*")
+# what a text may hold, outside comments, to be tokenized by str.split
+_ALLOWED = (string.ascii_letters + string.digits + "_' \t\r\n;=(){},&|").encode()
+
 _KEYWORDS = frozenset({"mu", "nu", "true", "false", "AND", "OR"})
 _OPERATORS = frozenset({"&&", "||", "=", ";", "(", ")", "{", "}", ",", ""})
 _NAME_START = frozenset(string.ascii_letters + "_")
@@ -70,12 +83,35 @@ def _line(text: str, offset: int) -> int:
     return text.count("\n", 0, offset) + 1
 
 
+def _tokens(text: str) -> list[str] | None:
+    """The tokens of ``text`` by string methods, or None to decline it."""
+    if "//" in text:
+        # every "//" starts a comment for _TOKEN_RE too
+        text = _COMMENT_RE.sub("", text)
+    # isascii first: str.encode refuses a lone surrogate
+    if not text.isascii() or text.encode().translate(None, _ALLOWED):
+        return None
+    for pair in ("&&", "||"):
+        if pair[0] in text:
+            if text.count(pair[0]) != 2 * text.count(pair):
+                return None
+            text = text.replace(pair, f" {pair} ")
+    for operator in ";=(){},":
+        text = text.replace(operator, f" {operator} ")
+    return text.split()
+
+
+def _regex_tokens(text: str) -> list[str]:
+    tokens = _TOKEN_RE.findall(text)
+    if "//" in text:
+        tokens = [token for token in tokens if token[:2] != "//"]
+    return tokens
+
+
 class _Parser:
-    def __init__(self, text: str):
+    def __init__(self, text: str, tokens: list[str]):
         self.text = text
-        self.tokens = _TOKEN_RE.findall(text)
-        if "//" in text:
-            self.tokens = [token for token in self.tokens if token[:2] != "//"]
+        self.tokens = tokens
         self.tokens.append("")  # the end
         # the shared constants, and one shared Var per name
         self.variables: dict[str, Formula] = {"true": TRUE, "false": FALSE}
@@ -101,17 +137,6 @@ class _Parser:
         if not _is_name(self.tokens[index]):
             raise self.unexpected(index, "expected 'ident'")
         return index + 1
-
-    def run(self, rule):
-        try:
-            return rule()
-        except BesError:
-            # an unexpected character anywhere is reported first, as a
-            # tokenizer run before the parser would
-            for index, token in enumerate(self.tokens):
-                if token not in _OPERATORS and token[0] not in _NAME_START:
-                    raise self.error(index, f"unexpected character {token!r}") from None
-            raise
 
     def system(self) -> EquationSystem:
         tokens = self.tokens
@@ -194,11 +219,33 @@ class _Parser:
             pos += 1
 
 
+def _parse(text: str, rule):
+    tokens = _tokens(text)
+    if tokens is not None:
+        try:
+            return rule(_Parser(text, tokens))
+        except BesError:
+            pass
+    return _located(text, rule)
+
+
+def _located(text: str, rule):
+    """Parse on ``_TOKEN_RE``'s tokens, whose errors carry their position."""
+    parser = _Parser(text, _regex_tokens(text))
+    try:
+        return rule(parser)
+    except BesError:
+        # an unexpected character anywhere is reported first, as a
+        # tokenizer run before the parser would
+        for index, token in enumerate(parser.tokens):
+            if token not in _OPERATORS and token[0] not in _NAME_START:
+                raise parser.error(index, f"unexpected character {token!r}") from None
+        raise
+
+
 def parse_bes(text: str) -> EquationSystem:
-    parser = _Parser(text)
-    return parser.run(parser.system)
+    return _parse(text, _Parser.system)
 
 
 def parse_formula(text: str) -> Formula:
-    parser = _Parser(text)
-    return parser.run(parser.whole_formula)
+    return _parse(text, _Parser.whole_formula)

@@ -178,6 +178,18 @@ ERRORS = [
         1,
         12,
     ),
+    # words that start with a digit or prime, runs of "&" and "|" that are
+    # not all pairs, and characters str.split reads as white space
+    (bm.parse_bes, "mu X = 9X;", "line 1, column 8: unexpected character '9'", 1, 8),
+    (bm.parse_bes, "mu X' = 'X;", "line 1, column 9: unexpected character \"'\"", 1, 9),
+    (bm.parse_bes, "mu X = X &&& Y;", "line 1, column 12: unexpected character '&'", 1, 12),
+    (bm.parse_bes, "mu X = X ||| Y;", "line 1, column 12: unexpected character '|'", 1, 12),
+    (bm.parse_bes, "mu X = X&Y;", "line 1, column 9: unexpected character '&'", 1, 9),
+    (bm.parse_bes, "mu X = X|Y;", "line 1, column 9: unexpected character '|'", 1, 9),
+    (bm.parse_bes, "mu X = X&&&&Y;", "line 1, column 11: expected a formula, got '&&'", 1, 11),
+    (bm.parse_bes, "\ufeffmu X = X;", "line 1, column 1: unexpected character '\\ufeff'", 1, 1),
+    (bm.parse_bes, "mu X = X;\u2028", "line 1, column 10: unexpected character '\\u2028'", 1, 10),
+    (bm.parse_bes, "mu X = X;\x1c", "line 1, column 10: unexpected character '\\x1c'", 1, 10),
     (
         bm.parse_bes,
         "mu X = Y; // X again\nnu Y = X;\n// and\n  mu X = true;\n",

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import besmin as bm
 from besmin import And, AndSet, Const, Equation, EquationSystem, Fixpoint, Or, OrSet, Var
+from besmin.parse import _located, _Parser, _regex_tokens, _tokens
 from conftest import at_recursion_limit, oracle
 
 NAMES = ["P", "Q", "R", "S"]
@@ -152,6 +153,10 @@ FRAGMENTS = [
     "mu ", "nu ", "X", "Y", "Z'", "_a", " = ", ";", "&&", "||", "(", ")",
     "true", "false", "AND{", "OR{", ",", "}", " ", "\n", "\r\n", "\t",
     "// c", "$", "\u00e9", "/", "&", "|", "mu X = X;",
+    # words the split path keeps whole, runs of "&" and "|", characters
+    # str.split reads as white space, and a comment the split must cut out
+    "9X", "'a", "&&&", "|||", "\v", "\x1c", "\x85", "\u2028", "\ufeff", "// ; \u00e9",
+    "\ud800",  # a lone surrogate, which str.encode refuses
 ]
 
 
@@ -161,21 +166,37 @@ def texts(draw):
     return "".join(parts)[:200]
 
 
+def outcome(parse, *args):
+    """What a parse returns, or the type, message and position of its error."""
+    try:
+        return parse(*args)
+    except bm.BesError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "column", None)
+
+
 @settings(max_examples=300, deadline=None)
 @given(texts())
 @at_recursion_limit
 def test_parser_accepts_or_reports_a_position(text):
     lines = text.split("\n")
-    for parse in (bm.parse_bes, bm.parse_formula):
-        try:
-            result = parse(text)
-        except bm.ParseError as exc:
-            assert exc.line >= 1
-            assert 1 <= exc.column <= len(lines[exc.line - 1]) + 1
-            continue
-        except bm.WellFormednessError:
-            continue
-        if parse is bm.parse_bes:
+    tokens = _tokens(text)
+    if tokens is not None and not any(token[0] in "0123456789'" for token in tokens):
+        # only a word the parser rejects may differ from the regex tokens
+        assert tokens == _regex_tokens(text)
+    for parse, rule in ((bm.parse_bes, _Parser.system), (bm.parse_formula, _Parser.whole_formula)):
+        result = outcome(parse, text)
+        # the parse on the regular expression's tokens, which reports every
+        # error, is the reference for the split tokens
+        assert result == outcome(_located, text, rule)
+        if tokens is None:
+            # a text the split declines holds an unexpected character
+            assert result[0] is bm.ParseError and ": unexpected character " in result[1]
+        if isinstance(result, tuple):
+            error, _, line, column = result
+            if error is bm.ParseError:
+                assert line >= 1
+                assert 1 <= column <= len(lines[line - 1]) + 1
+        elif parse is bm.parse_bes:
             assert bm.parse_bes(bm.print_bes(result)) == result
 
 
