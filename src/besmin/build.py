@@ -7,9 +7,16 @@ a change of leading operator produces an edge to the subterm node, and
 bound variables carry their rank and inherit the structure of their
 right-hand side.  ``build_srf_graph`` covers systems in standard
 recursive form.  Both read each equation once, in one loop that goes on
-to the subterm nodes it finds.  ``reduce_graph`` eliminates constant
-nodes and ``normalise_graph`` ranks the remaining unranked nodes, after
-which the graph translates back into an equation system in SRF.
+to the subterm nodes it finds.  ``build_graph`` also takes a system's
+text.  If the text is flat, every right-hand side one atom or a chain of
+atoms joined by one connective, with no "(" or "{" anywhere, its graph
+has no subterm nodes and is read straight from the tokens, without
+building formula trees.  That reader never raises: it declines any other
+text, which is parsed and built as a system, so every error comes from
+the parser or the tree path.  Both readers share one assembly of the
+nodes.  ``reduce_graph`` eliminates constant nodes and
+``normalise_graph`` ranks the remaining unranked nodes, after which the
+graph translates back into an equation system in SRF.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ from typing import Optional
 
 from .errors import BesError, OpenSystemError, UnrankedCycleError
 from .graph import AND, BOT, NONE, OR, TOP, Decoration, StructureGraph, _ids, _unranked_order
+from .parse import _is_name, _tokens, parse_bes
 from .syntax import (
     FALSE,
     TRUE,
@@ -50,6 +58,8 @@ _CONSTANTS = {("true",): Decoration(TOP), ("false",): Decoration(BOT)}
 # the operator each class of formula gives its node, in each syntax
 _GENERAL_OPS = {And: AND, Or: OR, Var: NONE, Const: NONE}
 _SRF_OPS = {AndSet: AND, OrSet: OR, Var: NONE}
+# the operator of a chain of atoms, in a flat system's text
+_SEPARATORS = {"&&": AND, "||": OR}
 
 
 def _graph(es: EquationSystem, t: Formula, ops: dict) -> StructureGraph:
@@ -64,9 +74,7 @@ def _graph(es: EquationSystem, t: Formula, ops: dict) -> StructureGraph:
     ``ops``) and its successor keys: the members of an n-ary connective,
     or the leaves of the block of one connective, left to right, once
     each.  An unbound name, or a class ``ops`` lacks, raises ``KeyError``.
-    The text is the label.  Constants come first, then the rest by label;
-    equal labels keep the order a depth-first search from ``t`` and the
-    variables meets them in, the order ``formula_key`` gives.
+    ``_assemble`` puts the nodes in id order.
     """
     shared: dict = {}  # (class, rank) -> Decoration
     deco: dict = {}  # key -> Decoration
@@ -114,16 +122,29 @@ def _graph(es: EquationSystem, t: Formula, ops: dict) -> StructureGraph:
             succ[x] = [f.name]
         else:
             succ[x] = sorted(f.members) if cls is AndSet or cls is OrSet else [key_of(f)]
+    return _assemble(init, rank, subterms, deco, succ)
+
+
+def _assemble(init, names, subterms: list, deco: dict, succ: dict) -> StructureGraph:
+    """The graph of the nodes ``deco`` and ``succ`` key, in id order.
+
+    ``names`` are the bound variables and ``subterms`` the keys of the
+    other nodes but the constants, which ``succ`` keys with no successors
+    and which this adds to ``deco``.  The text of a key is its label.
+    Constants come first, then the rest by label; equal labels keep the
+    order a depth-first search from ``init`` and the variables meets them
+    in, the order ``formula_key`` gives.
+    """
     order = [key for key in _CONSTANTS if key in succ]
     deco.update((key, _CONSTANTS[key]) for key in order)
-    labels = [key[0] for key in order] + sorted([*rank, *(key[0] for key in subterms)])
+    labels = [key[0] for key in order] + sorted([*names, *(key[0] for key in subterms)])
     rest = labels[len(order):]
     key_by_text = {key[0]: key for key in subterms}
-    if len(key_by_text) == len(subterms) and rank.keys().isdisjoint(key_by_text):
+    if len(key_by_text) == len(subterms) and key_by_text.keys().isdisjoint(names):
         order += map(key_by_text.get, rest, rest)
     else:  # equal labels, which keep the order a depth-first search meets them in
         seen: dict = {}
-        stack = [init, *rank]
+        stack = [init, *names]
         while stack:
             key = stack.pop()
             if key not in seen:
@@ -139,6 +160,65 @@ def _graph(es: EquationSystem, t: Formula, ops: dict) -> StructureGraph:
         labels,
         _ids("n", len(order)),
     )
+
+
+def _flat_graph(text: str) -> Optional[StructureGraph]:
+    """The structure graph of a flat system's text, or None to decline it.
+
+    A system is flat if every right-hand side is one atom, a bound name or
+    a constant, or a chain of atoms joined by one connective.  Its graph
+    has no subterm nodes: each variable's successors are its atoms, once
+    each, and its decoration is the chain's operator (none for one atom)
+    at its rank.  Any text with a "(" or a "{" is declined before it is
+    tokenized, and so is every text the parser would reject or that is
+    not closed, so this never raises.
+    """
+    if "(" in text or "{" in text:
+        return None
+    tokens = _tokens(text)
+    if not tokens or tokens[-1] != ";":
+        return None
+    deco: dict = {}  # name -> Decoration
+    succ: dict = {}  # key -> successor keys; () for a constant
+    shared: dict = {}  # operator -> Decoration, at the rank of the equation
+    sign, r = "nu", 0
+    end = -1
+    while end + 1 < len(tokens):
+        # tokens[start:end] is "mu" or "nu", a name, "=", and the atoms
+        # with a separator between each two
+        start = end + 1
+        end = tokens.index(";", start)
+        if end - start < 4:
+            return None
+        lhs_sign, name, equals = tokens[start : start + 3]
+        if equals != "=" or name in deco or not _is_name(name):
+            return None
+        if lhs_sign != sign:
+            if lhs_sign != "mu" and lhs_sign != "nu":
+                return None
+            sign, r, shared = lhs_sign, r + 1, {}
+        if end - start == 4:
+            op, keys = NONE, {tokens[start + 3]: None}
+        else:
+            separator = tokens[start + 4]
+            separators = tokens[start + 4 : end : 2]
+            op = _SEPARATORS.get(separator)
+            if op is None or (end - start) % 2 or separators.count(separator) != len(separators):
+                return None
+            keys = dict.fromkeys(tokens[start + 3 : end : 2])
+        for key in _CONSTANTS:
+            if key[0] in keys:  # a constant's text, which no name has
+                del keys[key[0]]
+                keys[key] = None
+        deco[name] = shared.get(op) or shared.setdefault(op, Decoration(op, r))
+        succ[name] = keys
+    atoms = set(chain.from_iterable(succ.values()))
+    atoms.difference_update(deco)
+    if not atoms <= _CONSTANTS.keys():  # an unbound name, or not an atom
+        return None
+    succ.update(dict.fromkeys(atoms, ()))
+    names = list(deco)
+    return _assemble(names[0], names, [], deco, succ)
 
 
 def _equal(f: Formula, g: Formula) -> bool:
@@ -163,12 +243,19 @@ def _require_bound(es: EquationSystem, t: Formula) -> None:
         )
 
 
-def build_graph(es: EquationSystem, t: Optional[Formula] = None) -> StructureGraph:
+def build_graph(es: EquationSystem | str, t: Optional[Formula] = None) -> StructureGraph:
     """Structure graph of formula ``t`` in the context of a closed system.
 
     The node set is the part reachable from ``t`` together with all bound
-    variables.
+    variables.  ``es`` may also be the system's text: with ``t`` None, a
+    flat system is read straight from its tokens, and any other text is
+    parsed first, which raises its errors.
     """
+    if isinstance(es, str):
+        graph = _flat_graph(es) if t is None else None
+        if graph is not None:
+            return graph
+        es = parse_bes(es)
     _require_nonempty(es)
     if t is None:
         t = Var(least_variable(es))

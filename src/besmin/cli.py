@@ -41,18 +41,20 @@ class _CliFailure(Exception):
         self.code = code
 
 
-def _load_system(args) -> EquationSystem:
+def _load_text(args) -> str:
     if args.fixture is not None:
-        text = fixture_text(args.fixture)
-    else:
-        if args.path is None:
-            raise _CliFailure("no input: give a file path or --fixture", EXIT_INVALID)
-        try:
-            with open(args.path, "r", encoding="utf-8") as handle:
-                text = handle.read()
-        except (OSError, UnicodeDecodeError) as exc:
-            raise _CliFailure(str(exc), EXIT_INVALID)
-    return parse_bes(text)
+        return fixture_text(args.fixture)
+    if args.path is None:
+        raise _CliFailure("no input: give a file path or --fixture", EXIT_INVALID)
+    try:
+        with open(args.path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _CliFailure(str(exc), EXIT_INVALID)
+
+
+def _load_system(args) -> EquationSystem:
+    return parse_bes(_load_text(args))
 
 
 def _cmd_check(args) -> int:
@@ -89,13 +91,14 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_graph(args) -> int:
-    es = _load_system(args)
-    require_closed(es)
-    formula = None if args.formula is None else parse_formula(args.formula)
-    if args.srf:
-        graph = build_srf_graph(es, formula)
+    if args.formula is None and not args.srf:
+        # build_graph reads a flat system straight from its text
+        graph = build_graph(_load_text(args))
     else:
-        graph = build_graph(es, formula)
+        es = _load_system(args)
+        require_closed(es)
+        formula = None if args.formula is None else parse_formula(args.formula)
+        graph = build_srf_graph(es, formula) if args.srf else build_graph(es, formula)
     if args.reduce or args.normalise:
         graph = reduce_graph(graph)
     if args.normalise:
@@ -106,12 +109,12 @@ def _cmd_graph(args) -> int:
 
 
 def _cmd_minimize(args) -> int:
-    es = _load_system(args)
+    text = _load_text(args)  # build_graph reads a flat system straight from it
     if args.emit == "graph":
-        quotient, _ = minimize(build_graph(es))
+        quotient, _ = minimize(build_graph(text))
         sys.stdout.write(serialize_graph(quotient))
         return EXIT_OK
-    m = pipeline(es)
+    m = pipeline(text)
     members: list[list[str]] = [[] for _ in m.names]  # the labels of each block
     for label, block in zip(m.graph.labels, m.block_of):
         members[block].append(label)

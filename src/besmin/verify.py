@@ -28,8 +28,11 @@ class PipelineResult:
     names: list[str]  # quotient node -> variable of ``system``
 
 
-def pipeline(es: EquationSystem) -> PipelineResult:
-    """Build, minimise and translate back the structure graph of ``es``."""
+def pipeline(es: EquationSystem | str) -> PipelineResult:
+    """Build, minimise and translate back the structure graph of ``es``.
+
+    ``es`` may also be the system's text, which ``build_graph`` reads.
+    """
     graph = build_graph(es)
     quotient, block_of = minimize(graph)
     _, system, names = translate(quotient)

@@ -14,6 +14,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -219,6 +220,41 @@ def test_minimize_bes_with_legend(capsys):
         "X3 <= {Y_s2}",
         "X4 <= {Z_s0, Z_s1, Z_s2}",
     ]
+
+
+def test_flat_text_is_read_without_the_parser_to_the_same_output(tmp_path, capsys):
+    # a ring of states in the encoding a model checker emits: one atom or
+    # a chain of one connective per right-hand side, constants, two ranks
+    equations = []
+    for i in range(12):
+        j, k = (i + 1) % 12, (i + 5) % 12
+        equations.append(f"nu X{i} = Y{i};")
+        equations.append(f"mu Y{i} = X{j} || Y{k} || Y{j};" if i % 3 else f"mu Y{i} = Y{j};")
+        equations.append(f"nu Z{i} = true && Z{j} && Z{k};" if i % 4 else f"nu Z{i} = false;")
+    flat, twin = tmp_path / "flat.bes", tmp_path / "twin.bes"
+    flat.write_text("\n".join(equations) + "\n")
+    # every right-hand side in parentheses, which the parser reads
+    twin.write_text("".join(line.replace("= ", "= (").replace(";", ");\n") for line in equations))
+    commands = [
+        ("minimize",),
+        ("minimize", "--emit", "bes"),
+        ("graph",),
+        ("graph", "--reduce"),
+        ("graph", "--normalise"),
+        ("graph", "--out", "dot"),
+    ]
+    expected = [run(capsys, *command, str(twin)) for command in commands]
+    with mock.patch("besmin.build.parse_bes", side_effect=AssertionError("parsed")):
+        for command, result in zip(commands, expected):
+            assert result[0] == 0 and run(capsys, *command, str(flat)) == result, command
+    # what the reader declines is parsed and built, and fails as it did
+    for text, code, error in (
+        ("nu X = X &&;\n", 1, "error: line 1, column 12: expected a formula, got ';'\n"),
+        ("nu X = Y && X;\n", 2, "error: system is open; unbound: Y\n"),
+    ):
+        flat.write_text(text)
+        for command in commands:
+            assert run(capsys, *command, str(flat)) == (code, "", error), (text, command)
 
 
 def test_verify_fixtures(capsys):

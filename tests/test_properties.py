@@ -1,6 +1,7 @@
 """Property-based invariants over randomly generated systems."""
 
 import re
+from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
@@ -223,3 +224,94 @@ def test_white_space_and_comments_between_tokens_change_nothing(n, seed, data):
     text = "".join(gap + token for gap, token in zip(gaps, tokens + [""]))
     text += data.draw(st.sampled_from(["", "// a comment at the end, without a newline"]))
     assert bm.parse_bes(text) == bm.parse_bes(printed)
+
+
+# flat systems: every right-hand side one atom or a chain of one connective
+def _separator(rhs):
+    return "||" if "||" in rhs else "&&"
+
+
+FLAT_EDITS = {
+    "dangling separator": lambda sign, name, rhs: (sign, name, f"{rhs} {_separator(rhs)}"),
+    "leading separator": lambda sign, name, rhs: (sign, name, f"{_separator(rhs)} {rhs}"),
+    "mixed separators": lambda sign, name, rhs: (sign, name, rhs + " || X && Y"),
+    "no right-hand side": lambda sign, name, rhs: (sign, name, ""),
+    "unbound name": lambda sign, name, rhs: (sign, name, f"{rhs} {_separator(rhs)} W"),
+    "keyword as a name": lambda sign, name, rhs: (sign, "true", rhs),
+    "keyword as an atom": lambda sign, name, rhs: (sign, name, "mu"),
+    "no sign": lambda sign, name, rhs: ("", name, rhs),
+    "parentheses": lambda sign, name, rhs: (sign, name, f"({rhs})"),
+}
+
+
+@st.composite
+def flat_texts(draw):
+    """A flat system's text with a few random edits, and whether it has none."""
+    names = draw(st.lists(st.sampled_from(["X", "Y", "Z'", "_a"]), min_size=1, unique=True))
+    equations = []
+    for name in names:
+        atoms = draw(st.lists(st.sampled_from([*names, "true", "false"]), min_size=1, max_size=4))
+        separator = draw(st.sampled_from([" && ", " || "]))
+        equations.append((draw(st.sampled_from(["mu", "nu"])), name, separator.join(atoms)))
+    edits = draw(
+        st.lists(
+            st.sampled_from([*FLAT_EDITS, "repeated left-hand side", "missing last ';'"]),
+            max_size=2,
+        )
+    )
+    for edit in edits:
+        at = draw(st.integers(0, len(equations) - 1))
+        if edit in FLAT_EDITS:
+            equations[at] = FLAT_EDITS[edit](*equations[at])
+        elif edit == "repeated left-hand side":
+            equations.append(equations[at])
+    lines = [f"{sign} {name} = {rhs};" for sign, name, rhs in equations]
+    if "missing last ';'" in edits:
+        lines[-1] = lines[-1][:-1]
+    if draw(st.booleans()):
+        lines[draw(st.integers(0, len(lines) - 1))] += " // a comment"
+    return draw(st.sampled_from(["\n", "\r\n"])).join(lines), not edits
+
+
+def printed_systems(es):
+    text = bm.print_bes(es)
+    return text, "(" not in text and "{" not in text
+
+
+def graph_columns(g):
+    return g.init, g.deco, g.succ, g.labels, g.ids
+
+
+def check_the_flat_reader_and_the_tree_build_one_graph(text, flat):
+    # the formula trees' graph, or the type, message and position of the error
+    expected = outcome(lambda text: graph_columns(bm.build_graph(bm.parse_bes(text))), text)
+    if flat:
+        # the reader takes the text: it never reaches the parser
+        with mock.patch("besmin.build.parse_bes", side_effect=AssertionError("parsed")):
+            assert graph_columns(bm.build_graph(text)) == expected
+    else:
+        assert outcome(lambda text: graph_columns(bm.build_graph(text)), text) == expected
+
+
+@settings(max_examples=400, deadline=None)
+@given(flat_texts())
+@at_recursion_limit
+def test_the_flat_reader_and_the_tree_build_one_graph(case):
+    check_the_flat_reader_and_the_tree_build_one_graph(*case)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(
+        systems().map(printed_systems),
+        st.builds(
+            lambda n, seed: printed_systems(bm.gen_bes(bm.GenConfig(variable_count=n, seed=seed))),
+            st.integers(1, 8),
+            st.integers(0, 10**6),
+        ),
+        texts().map(lambda text: (text, False)),
+    )
+)
+@at_recursion_limit
+def test_the_flat_reader_and_the_tree_agree_on_printed_systems_and_fragments(case):
+    check_the_flat_reader_and_the_tree_build_one_graph(*case)
