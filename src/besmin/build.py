@@ -10,11 +10,12 @@ recursive form.  Both read each equation once, in one loop that goes on
 to the subterm nodes it finds.  ``build_graph`` also takes a system's
 text.  If the text is flat, every right-hand side one atom or a chain of
 atoms joined by one connective, with no "(" or "{" anywhere, its graph
-has no subterm nodes and is read straight from the tokens, without
-building formula trees.  That reader never raises: it declines any other
-text, which is parsed and built as a system, so every error comes from
-the parser or the tree path.  Both readers share one assembly of the
-nodes.  ``reduce_graph`` eliminates constant nodes and
+has no subterm nodes and is read without building formula trees: the
+names are numbered first, in label order, and then each equation, split
+once, fills its variable's position in the graph's columns.  That reader
+never raises: it declines any other text, which is parsed and built as a
+system, so every error comes from the parser or the tree path.
+``reduce_graph`` eliminates constant nodes and
 ``normalise_graph`` ranks the remaining unranked nodes, after which the
 graph translates back into an equation system in SRF.
 """
@@ -26,7 +27,7 @@ from typing import Optional
 
 from .errors import BesError, OpenSystemError, UnrankedCycleError
 from .graph import AND, BOT, NONE, OR, TOP, Decoration, StructureGraph, _ids, _unranked_order
-from .parse import _is_name, _tokens, parse_bes
+from .parse import _KEYWORDS, _NAME_START, _OPERATORS, _padded, parse_bes
 from .syntax import (
     FALSE,
     TRUE,
@@ -58,8 +59,8 @@ _CONSTANTS = {("true",): Decoration(TOP), ("false",): Decoration(BOT)}
 # the operator each class of formula gives its node, in each syntax
 _GENERAL_OPS = {And: AND, Or: OR, Var: NONE, Const: NONE}
 _SRF_OPS = {AndSet: AND, OrSet: OR, Var: NONE}
-# the operator of a chain of atoms, in a flat system's text
-_SEPARATORS = {"&&": AND, "||": OR}
+# the operator of a chain of atoms, in a flat system's text ("" for one atom)
+_SEPARATORS = {"": NONE, "&&": AND, "||": OR}
 
 
 def _graph(es: EquationSystem, t: Formula, ops: dict) -> StructureGraph:
@@ -74,7 +75,9 @@ def _graph(es: EquationSystem, t: Formula, ops: dict) -> StructureGraph:
     ``ops``) and its successor keys: the members of an n-ary connective,
     or the leaves of the block of one connective, left to right, once
     each.  An unbound name, or a class ``ops`` lacks, raises ``KeyError``.
-    ``_assemble`` puts the nodes in id order.
+    The text is the label.  Constants come first, then the rest by label;
+    equal labels keep the order a depth-first search from ``t`` and the
+    variables meets them in, the order ``formula_key`` gives.
     """
     shared: dict = {}  # (class, rank) -> Decoration
     deco: dict = {}  # key -> Decoration
@@ -122,29 +125,16 @@ def _graph(es: EquationSystem, t: Formula, ops: dict) -> StructureGraph:
             succ[x] = [f.name]
         else:
             succ[x] = sorted(f.members) if cls is AndSet or cls is OrSet else [key_of(f)]
-    return _assemble(init, rank, subterms, deco, succ)
-
-
-def _assemble(init, names, subterms: list, deco: dict, succ: dict) -> StructureGraph:
-    """The graph of the nodes ``deco`` and ``succ`` key, in id order.
-
-    ``names`` are the bound variables and ``subterms`` the keys of the
-    other nodes but the constants, which ``succ`` keys with no successors
-    and which this adds to ``deco``.  The text of a key is its label.
-    Constants come first, then the rest by label; equal labels keep the
-    order a depth-first search from ``init`` and the variables meets them
-    in, the order ``formula_key`` gives.
-    """
     order = [key for key in _CONSTANTS if key in succ]
     deco.update((key, _CONSTANTS[key]) for key in order)
-    labels = [key[0] for key in order] + sorted([*names, *(key[0] for key in subterms)])
+    labels = [key[0] for key in order] + sorted([*rank, *(key[0] for key in subterms)])
     rest = labels[len(order):]
     key_by_text = {key[0]: key for key in subterms}
-    if len(key_by_text) == len(subterms) and key_by_text.keys().isdisjoint(names):
+    if len(key_by_text) == len(subterms) and rank.keys().isdisjoint(key_by_text):
         order += map(key_by_text.get, rest, rest)
     else:  # equal labels, which keep the order a depth-first search meets them in
         seen: dict = {}
-        stack = [init, *names]
+        stack = [init, *rank]
         while stack:
             key = stack.pop()
             if key not in seen:
@@ -169,56 +159,58 @@ def _flat_graph(text: str) -> Optional[StructureGraph]:
     a constant, or a chain of atoms joined by one connective.  Its graph
     has no subterm nodes: each variable's successors are its atoms, once
     each, and its decoration is the chain's operator (none for one atom)
-    at its rank.  Any text with a "(" or a "{" is declined before it is
-    tokenized, and so is every text the parser would reject or that is
-    not closed, so this never raises.
+    at its rank.  The words of the padded text that are no operator or
+    keyword are the names: sorted, after the constants that occur, they
+    are the labels, so every node has its position before an equation is
+    read.  Each equation then fills its variable's position in the
+    columns.  Any text with a "(" or a "{" is declined before it is
+    padded, and so is every text the parser would reject or that is not
+    closed, so this never raises.
     """
-    if "(" in text or "{" in text:
+    padded = None if "(" in text or "{" in text else _padded(text)
+    if padded is None:
         return None
-    tokens = _tokens(text)
-    if not tokens or tokens[-1] != ";":
+    *equations, tail = padded.split(";")
+    # each equation's words: "mu" or "nu", a name, "=", and the atoms with
+    # a separator between each two
+    rows = [equation.split() for equation in equations]
+    words = set(chain.from_iterable(rows))
+    names = sorted(words - _KEYWORDS - _OPERATORS)
+    # a word that is no name starts with a digit or a prime, and sorts first;
+    # with each name bound at most once, every name, and so every atom, is bound
+    if not names or names[0][0] not in _NAME_START or len(names) != len(rows) or tail.strip():
         return None
-    deco: dict = {}  # name -> Decoration
-    succ: dict = {}  # key -> successor keys; () for a constant
-    shared: dict = {}  # operator -> Decoration, at the rank of the equation
+    labels = [key[0] for key in _CONSTANTS if key[0] in words]
+    deco = [_CONSTANTS[label,] for label in labels] + [None] * len(names)
+    succ = [[] for _ in labels] + [None] * len(names)
+    labels += names
+    place = dict(zip(labels, range(len(labels))))
+    shared: dict = {}  # separator -> Decoration, at the rank of the equation
     sign, r = "nu", 0
-    end = -1
-    while end + 1 < len(tokens):
-        # tokens[start:end] is "mu" or "nu", a name, "=", and the atoms
-        # with a separator between each two
-        start = end + 1
-        end = tokens.index(";", start)
-        if end - start < 4:
-            return None
-        lhs_sign, name, equals = tokens[start : start + 3]
-        if equals != "=" or name in deco or not _is_name(name):
-            return None
-        if lhs_sign != sign:
-            if lhs_sign != "mu" and lhs_sign != "nu":
+    try:
+        for row in rows:
+            if len(row) < 4 or len(row) % 2 or row[2] != "=":
                 return None
-            sign, r, shared = lhs_sign, r + 1, {}
-        if end - start == 4:
-            op, keys = NONE, {tokens[start + 3]: None}
-        else:
-            separator = tokens[start + 4]
-            separators = tokens[start + 4 : end : 2]
-            op = _SEPARATORS.get(separator)
-            if op is None or (end - start) % 2 or separators.count(separator) != len(separators):
+            x = place[row[1]]
+            if deco[x] is not None:  # bound twice, or a constant
                 return None
-            keys = dict.fromkeys(tokens[start + 3 : end : 2])
-        for key in _CONSTANTS:
-            if key[0] in keys:  # a constant's text, which no name has
-                del keys[key[0]]
-                keys[key] = None
-        deco[name] = shared.get(op) or shared.setdefault(op, Decoration(op, r))
-        succ[name] = keys
-    atoms = set(chain.from_iterable(succ.values()))
-    atoms.difference_update(deco)
-    if not atoms <= _CONSTANTS.keys():  # an unbound name, or not an atom
+            if row[0] != sign:
+                if row[0] != "mu" and row[0] != "nu":
+                    return None
+                sign, r, shared = row[0], r + 1, {}
+            if len(row) == 4:
+                separator, succ[x] = "", [place[row[3]]]
+            else:
+                separator, separators = row[4], row[4::2]
+                if separators.count(separator) != len(separators):
+                    return None
+                succ[x] = sorted(set(map(place.__getitem__, row[3::2])))
+            deco[x] = shared.get(separator) or shared.setdefault(
+                separator, Decoration(_SEPARATORS[separator], r)
+            )
+    except KeyError:  # an atom or a left-hand side that is no name, or a separator
         return None
-    succ.update(dict.fromkeys(atoms, ()))
-    names = list(deco)
-    return _assemble(names[0], names, [], deco, succ)
+    return StructureGraph(place[rows[0][1]], deco, succ, labels, _ids("n", len(labels)))
 
 
 def _equal(f: Formula, g: Formula) -> bool:
@@ -248,8 +240,8 @@ def build_graph(es: EquationSystem | str, t: Optional[Formula] = None) -> Struct
 
     The node set is the part reachable from ``t`` together with all bound
     variables.  ``es`` may also be the system's text: with ``t`` None, a
-    flat system is read straight from its tokens, and any other text is
-    parsed first, which raises its errors.
+    flat system is read straight into the graph's columns, and any other
+    text is parsed first, which raises its errors.
     """
     if isinstance(es, str):
         graph = _flat_graph(es) if t is None else None

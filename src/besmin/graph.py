@@ -45,6 +45,9 @@ class Op(enum.Enum):
     BOT = "bot"
     NONE = "none"
 
+    # members are singletons that compare by identity: hash in C, not by name
+    __hash__ = object.__hash__
+
 
 AND, OR, TOP, BOT, NONE = Op.AND, Op.OR, Op.TOP, Op.BOT, Op.NONE  # bound once, as syntax.MU
 _OP_SYMBOL = {AND: "▲", OR: "▽", TOP: "⊤", BOT: "⊥", NONE: ""}

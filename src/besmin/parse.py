@@ -18,8 +18,9 @@ are preserved as explicit nesting.
 White space is exactly space, tab, CR and LF.  Comments are cut out
 first.  If what is left is ASCII, holds only letters, digits,
 underscores, primes, white space and operator characters, and every "&"
-and "|" is half of an "&&" or "||", the operators are padded with spaces
-by ``str.replace`` and ``str.split`` gives the tokens.  Every other token
+and "|" is half of an "&&" or "||", ``_padded`` pads the operators with
+spaces by ``str.replace`` and ``str.split`` gives the tokens; the flat
+reader of ``build`` splits the same padded text.  Every other token
 is then a maximal run of letters, digits, underscores and primes: the
 identifier a regular expression would match if it starts with a letter
 or underscore, and a word that fails the parse otherwise.  A text the
@@ -83,8 +84,9 @@ def _line(text: str, offset: int) -> int:
     return text.count("\n", 0, offset) + 1
 
 
-def _tokens(text: str) -> list[str] | None:
-    """The tokens of ``text`` by string methods, or None to decline it."""
+def _padded(text: str) -> str | None:
+    """``text`` without comments and with spaces around every operator, or
+    None to decline it: its words are the tokens."""
     if "//" in text:
         # every "//" starts a comment for _TOKEN_RE too
         text = _COMMENT_RE.sub("", text)
@@ -98,7 +100,13 @@ def _tokens(text: str) -> list[str] | None:
             text = text.replace(pair, f" {pair} ")
     for operator in ";=(){},":
         text = text.replace(operator, f" {operator} ")
-    return text.split()
+    return text
+
+
+def _tokens(text: str) -> list[str] | None:
+    """The tokens of ``text`` by string methods, or None to decline it."""
+    padded = _padded(text)
+    return None if padded is None else padded.split()
 
 
 def _regex_tokens(text: str) -> list[str]:

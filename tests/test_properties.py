@@ -241,6 +241,14 @@ FLAT_EDITS = {
     "keyword as an atom": lambda sign, name, rhs: (sign, name, "mu"),
     "no sign": lambda sign, name, rhs: ("", name, rhs),
     "parentheses": lambda sign, name, rhs: (sign, name, f"({rhs})"),
+    # between bound names, so that the equation's token count is even
+    "separator as an atom": lambda sign, name, rhs: (sign, name, f"{name} && && && {name}"),
+    "'=' as an atom": lambda sign, name, rhs: (sign, name, "="),
+    "stray ';'": lambda sign, name, rhs: (sign, name, f"{rhs};"),
+    "AND as an atom": lambda sign, name, rhs: (sign, name, f"{rhs} {_separator(rhs)} AND"),
+    "nu as an atom": lambda sign, name, rhs: (sign, name, f"nu {_separator(rhs)} {rhs}"),
+    "9X as an atom": lambda sign, name, rhs: (sign, name, f"{rhs} {_separator(rhs)} 9X"),
+    "9X as a left-hand side": lambda sign, name, rhs: (sign, "9X", rhs),
 }
 
 
@@ -255,7 +263,9 @@ def flat_texts(draw):
         equations.append((draw(st.sampled_from(["mu", "nu"])), name, separator.join(atoms)))
     edits = draw(
         st.lists(
-            st.sampled_from([*FLAT_EDITS, "repeated left-hand side", "missing last ';'"]),
+            st.sampled_from(
+                [*FLAT_EDITS, "repeated left-hand side", "name bound twice", "missing last ';'"]
+            ),
             max_size=2,
         )
     )
@@ -265,6 +275,9 @@ def flat_texts(draw):
             equations[at] = FLAT_EDITS[edit](*equations[at])
         elif edit == "repeated left-hand side":
             equations.append(equations[at])
+        elif edit == "name bound twice":  # the name it replaces may still be an atom
+            sign, _, rhs = equations[at]
+            equations[at] = sign, equations[draw(st.integers(0, len(equations) - 1))][1], rhs
     lines = [f"{sign} {name} = {rhs};" for sign, name, rhs in equations]
     if "missing last ';'" in edits:
         lines[-1] = lines[-1][:-1]
