@@ -11,11 +11,11 @@ to the subterm nodes it finds.  ``build_graph`` also takes a system's
 text.  If the text is flat, every right-hand side one atom or a chain of
 atoms joined by one connective, with no "(" or "{" anywhere, its graph
 has no subterm nodes and is read without building formula trees: the
-names are numbered first, in label order, and then each equation, split
-once, fills its variable's position in the graph's columns.  That reader
-never raises: it declines any other text, which is parsed and built as a
-system, so every error comes from the parser or the tree path.
-``reduce_graph`` eliminates constant nodes and
+left-hand sides are numbered first, in label order after the constants,
+and then each equation, split once, fills its variable's position in the
+graph's columns.  That reader never raises: it declines any other text,
+which is parsed and built as a system, so every error comes from the
+parser or the tree path.  ``reduce_graph`` eliminates constant nodes and
 ``normalise_graph`` ranks the remaining unranked nodes, after which the
 graph translates back into an equation system in SRF.
 """
@@ -23,11 +23,12 @@ graph translates back into an equation system in SRF.
 from __future__ import annotations
 
 from itertools import chain
+from operator import itemgetter
 from typing import Optional
 
 from .errors import BesError, OpenSystemError, UnrankedCycleError
-from .graph import AND, BOT, NONE, OR, TOP, Decoration, StructureGraph, _ids, _unranked_order
-from .parse import _KEYWORDS, _NAME_START, _OPERATORS, _padded, parse_bes
+from .graph import AND, BOT, NONE, OR, TOP, Decoration, StructureGraph, _Ids, _unranked_order
+from .parse import _KEYWORDS, _NAME_START, _padded, parse_bes
 from .syntax import (
     FALSE,
     TRUE,
@@ -148,7 +149,7 @@ def _graph(es: EquationSystem, t: Formula, ops: dict) -> StructureGraph:
         list(map(deco.__getitem__, order)),
         [sorted(map(place.__getitem__, keys)) for keys in map(succ.__getitem__, order)],
         labels,
-        _ids("n", len(order)),
+        _Ids("n", len(order)),
     )
 
 
@@ -159,13 +160,12 @@ def _flat_graph(text: str) -> Optional[StructureGraph]:
     a constant, or a chain of atoms joined by one connective.  Its graph
     has no subterm nodes: each variable's successors are its atoms, once
     each, and its decoration is the chain's operator (none for one atom)
-    at its rank.  The words of the padded text that are no operator or
-    keyword are the names: sorted, after the constants that occur, they
-    are the labels, so every node has its position before an equation is
-    read.  Each equation then fills its variable's position in the
-    columns.  Any text with a "(" or a "{" is declined before it is
-    padded, and so is every text the parser would reject or that is not
-    closed, so this never raises.
+    at its rank.  The left-hand sides are the names: sorted, after the
+    constants that occur as words, they are the labels, so every node has
+    its position before an equation is read.  Each equation then fills its
+    variable's position in the columns.  Any text with a "(" or a "{" is
+    declined before it is padded, and so is every text the parser would
+    reject or that is not closed, so this never raises.
     """
     padded = None if "(" in text or "{" in text else _padded(text)
     if padded is None:
@@ -174,25 +174,35 @@ def _flat_graph(text: str) -> Optional[StructureGraph]:
     # each equation's words: "mu" or "nu", a name, "=", and the atoms with
     # a separator between each two
     rows = [equation.split() for equation in equations]
-    words = set(chain.from_iterable(rows))
-    names = sorted(words - _KEYWORDS - _OPERATORS)
-    # a word that is no name starts with a digit or a prime, and sorts first;
-    # with each name bound at most once, every name, and so every atom, is bound
-    if not names or names[0][0] not in _NAME_START or len(names) != len(rows) or tail.strip():
+    if not rows or min(map(len, rows)) < 4 or tail.strip():
         return None
-    labels = [key[0] for key in _CONSTANTS if key[0] in words]
+    names = sorted(map(itemgetter(1), rows))
+    # a word that is no name starts with a digit, a prime or an operator;
+    # the digits, the prime and "&&", "=" and "," sort before every name,
+    # "||" and "}" after: the first and the last word tell
+    if (
+        names[0][0] not in _NAME_START
+        or names[-1][0] not in _NAME_START
+        or not _KEYWORDS.isdisjoint(names)
+    ):
+        return None
+    # "true" or "false" inside a name is no constant
+    labels = [c for c in ("true", "false") if c in padded and c in chain.from_iterable(rows)]
     deco = [_CONSTANTS[label,] for label in labels] + [None] * len(names)
     succ = [[] for _ in labels] + [None] * len(names)
     labels += names
+    # a name bound twice keeps one position, which its second equation
+    # finds filled; an atom that is not a name bound here, nor a constant,
+    # has none
     place = dict(zip(labels, range(len(labels))))
     shared: dict = {}  # separator -> Decoration, at the rank of the equation
     sign, r = "nu", 0
     try:
         for row in rows:
-            if len(row) < 4 or len(row) % 2 or row[2] != "=":
+            if len(row) % 2 or row[2] != "=":
                 return None
             x = place[row[1]]
-            if deco[x] is not None:  # bound twice, or a constant
+            if deco[x] is not None:  # bound twice
                 return None
             if row[0] != sign:
                 if row[0] != "mu" and row[0] != "nu":
@@ -208,9 +218,9 @@ def _flat_graph(text: str) -> Optional[StructureGraph]:
             deco[x] = shared.get(separator) or shared.setdefault(
                 separator, Decoration(_SEPARATORS[separator], r)
             )
-    except KeyError:  # an atom or a left-hand side that is no name, or a separator
+    except KeyError:  # an atom that is no bound name or constant, or a separator
         return None
-    return StructureGraph(place[rows[0][1]], deco, succ, labels, _ids("n", len(labels)))
+    return StructureGraph(place[rows[0][1]], deco, succ, labels, _Ids("n", len(labels)))
 
 
 def _equal(f: Formula, g: Formula) -> bool:

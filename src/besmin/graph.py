@@ -13,6 +13,7 @@ from __future__ import annotations
 import enum
 import re
 from collections import defaultdict
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from typing import Optional
 
@@ -65,13 +66,16 @@ class StructureGraph:
     deco: list[Decoration]
     succ: list[list[int]]  # sorted successor positions
     labels: list[str]
-    ids: list[str]  # increasing
+    ids: Sequence[str]  # increasing
 
     def __post_init__(self):
         n = len(self.ids)
         if not len(self.deco) == len(self.succ) == len(self.labels) == n:
             raise ValueError("the columns deco, succ, labels and ids differ in length")
-        if any(a >= b for a, b in zip(self.ids, self.ids[1:])):
+        # generated ids increase by construction; any other list is checked
+        if self.ids.__class__ is not _Ids and any(
+            a >= b for a, b in zip(self.ids, self.ids[1:])
+        ):
             raise ValueError("node ids are not unique and increasing")
         if not 0 <= self.init < n:
             raise ValueError(f"initial node {self.init} is not a node")
@@ -83,10 +87,41 @@ class StructureGraph:
         return [(u, v) for u, vs in enumerate(self.succ) for v in vs]
 
 
-def _ids(prefix: str, n: int) -> list[str]:
-    """``prefix`` and 0 … n - 1, zero-padded to one width to sort as numbers."""
-    width = len(str(max(n - 1, 0)))
-    return [prefix + str(j).zfill(width) for j in range(n)]
+class _Ids(Sequence):
+    """``prefix`` and 0 … n - 1, zero-padded to one width to sort as numbers.
+
+    A list of ids formatted when first read: ``len`` needs none, so a graph
+    whose ids are never printed never formats them.  It compares equal to
+    the list of the same ids.
+    """
+
+    __slots__ = ("prefix", "n", "_list")
+
+    def __init__(self, prefix: str, n: int):
+        self.prefix, self.n, self._list = prefix, n, None
+
+    def _formatted(self) -> list[str]:
+        if self._list is None:
+            width = len(str(max(self.n - 1, 0)))
+            self._list = [self.prefix + str(j).zfill(width) for j in range(self.n)]
+        return self._list
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, j):
+        return self._formatted()[j]
+
+    def __iter__(self):
+        return iter(self._formatted())
+
+    def __eq__(self, other):
+        if other.__class__ is _Ids:
+            other = other._formatted()
+        return self._formatted() == other if isinstance(other, list) else NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(self._formatted())
 
 
 # ---------------------------------------------------------------------------
@@ -243,10 +278,13 @@ def _refine(succs: list[list[int]], keys: list) -> list[int]:
     each round regroups the nodes by signature, until no block splits.
     Blocks are numbered by their first member; ``minimize`` relies on it.
 
-    The rounds start from the partition by key and by whether a node has
-    successors, which is stable with respect to the whole node set.  Each
-    round re-signs only the predecessors of the parts that the last round
-    split off, leaving out the largest part of each split block
+    The rounds start from the partition by key, and the first round signs
+    every node but the members of blocks of one.  Leaving out the largest
+    start block would spare few nodes there (none on the mc systems, where
+    every node reaches another block) at the cost of a pass over the
+    predecessors of all the others.  Each later round re-signs only the
+    predecessors of the parts that the last round split off, leaving out
+    the largest part of each split block
     (Hopcroft's "all but the largest" trick, as Paige & Tarjan 1987 and
     Valmari 2009 use it), and leaving out the members of blocks of one,
     which cannot split.  The members of a block that are not re-signed
@@ -270,22 +308,15 @@ def _refine(succs: list[list[int]], keys: list) -> list[int]:
     objects = dict(zip(map(id, keys), keys))  # id of a key -> the key
     classes: dict = {}
     number = {i: classes.setdefault(key, len(classes)) for i, key in objects.items()}
-    block = [2 * number[i] + (not vs) for i, vs in zip(map(id, keys), succs)]
+    block = list(map(number.__getitem__, map(id, keys)))
     # members[b] holds the members of block b and may hold nodes that have
     # left it; size[b] counts only the members
-    members: list[list[int]] = [[] for _ in range(2 * len(classes))]
+    members: list[list[int]] = [[] for _ in classes]
     for u, b in enumerate(block):
         members[b].append(u)
     size = list(map(len, members))
-    largest = max(range(len(size)), key=size.__getitem__, default=-1)
-    work = [b for b, k in enumerate(size) if k and b != largest]
-    while work:
-        touched: set[int] = set()
-        for b in work:
-            if len(members[b]) != size[b]:
-                members[b] = [v for v in members[b] if block[v] == b]
-            for v in members[b]:
-                touched.update(preds[v])
+    touched: Iterable[int] = range(len(block))  # the first round signs every node
+    while touched:
         block_of = block.__getitem__
         groups: defaultdict = defaultdict(list)
         for u in touched:
@@ -313,6 +344,12 @@ def _refine(succs: list[list[int]], keys: list) -> list[int]:
                 size.append(len(us))
             if big >= 0:
                 work[big] = b
+        touched = set()
+        for b in work:
+            if len(members[b]) != size[b]:
+                members[b] = [v for v in members[b] if block[v] == b]
+            for v in members[b]:
+                touched.update(preds[v])
     ids = {}
     return [ids.setdefault(b, len(ids)) for b in block]
 
@@ -336,7 +373,7 @@ def minimize(g: StructureGraph) -> tuple[StructureGraph, list[int]]:
         [g.deco[u] for u in first],
         [sorted(images[u]) for u in first],
         [g.labels[u] for u in first],
-        _ids("b", len(first)),
+        _Ids("b", len(first)),
     )
     # the mapping is a functional bisimulation: it keeps every node's
     # decoration and maps its successors onto its block's successors
@@ -404,13 +441,14 @@ def _unquote(quoted: str) -> str:  # one pass, so that \\n is \ and n
 
 
 def serialize_graph(g: StructureGraph) -> str:
-    lines = ["sgraph v1", f"init {g.ids[g.init]}"]
+    ids = list(g.ids)  # read once: generated ids are formatted then
+    lines = ["sgraph v1", f"init {ids[g.init]}"]
     for u, d in enumerate(g.deco):
         rank = "-" if d.rank is None else d.rank
         label = _quote(g.labels[u], _SGRAPH_ESCAPE)
-        lines.append(f"node {g.ids[u]} op={d.op._value_} ranks={rank} label={label}")
+        lines.append(f"node {ids[u]} op={d.op._value_} ranks={rank} label={label}")
     for a, b in g.edges:
-        lines.append(f"edge {g.ids[a]} {g.ids[b]}")
+        lines.append(f"edge {ids[a]} {ids[b]}")
     return "".join(line + "\n" for line in lines)
 
 
@@ -463,6 +501,7 @@ def parse_graph(text: str) -> StructureGraph:
 
 
 def to_dot(g: StructureGraph) -> str:
+    ids = list(g.ids)  # read once, as in serialize_graph
     lines = ["digraph sgraph {"]
     for u, d in enumerate(g.deco):
         rank = "" if d.rank is None else str(d.rank)
@@ -472,8 +511,8 @@ def to_dot(g: StructureGraph) -> str:
         attrs = f'label="{label}"'
         if u == g.init:
             attrs += ", peripheries=2"
-        lines.append(f"  {_quote(g.ids[u])} [{attrs}];")
+        lines.append(f"  {_quote(ids[u])} [{attrs}];")
     for a, b in g.edges:
-        lines.append(f"  {_quote(g.ids[a])} -> {_quote(g.ids[b])};")
+        lines.append(f"  {_quote(ids[a])} -> {_quote(ids[b])};")
     lines.append("}")
     return "".join(line + "\n" for line in lines)

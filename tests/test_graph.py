@@ -1,6 +1,7 @@
 """Structure graphs: validation, translation, bisimulation, formats."""
 
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,6 +26,31 @@ def test_structure_graph_validation():
     ):
         with pytest.raises(ValueError):
             StructureGraph(init, deco, succ, labels, ids)
+
+
+@pytest.mark.parametrize("n", [1, 10, 11, 100, 101])
+def test_generated_ids_are_the_list_of_zero_padded_numbers(n):
+    width = len(str(n - 1))
+    expected = ["n" + str(j).zfill(width) for j in range(n)]
+    ids = besmin.graph._Ids("n", n)
+    assert len(ids) == n
+    assert ids == expected and expected == ids
+    assert ids != expected[:-1] and expected[1:] != ids
+    assert list(ids) == expected and ids[-1] == expected[-1]
+    assert all(a < b for a, b in zip(ids, ids[1:]))
+    assert besmin.graph._Ids("b", 0) == []
+
+
+@pytest.mark.parametrize(
+    "text",
+    [chain(6), bm.print_bes(bm.fixture("example-structure-graph"))],
+    ids=["flat", "parsed"],
+)
+def test_minimize_and_verify_never_format_the_ids(text):
+    with mock.patch.object(besmin.graph._Ids, "_formatted", side_effect=AssertionError("formatted")):
+        m = bm.pipeline(text)
+        assert bm.verify_system(bm.parse_bes(text)).ok
+    assert bm.serialize_graph(m.graph).count("node n") == len(m.graph.ids)
 
 
 def test_is_bessy_clean_graph():
@@ -225,8 +251,15 @@ def refinement_inputs(draw):
     n = draw(st.integers(min_value=0, max_value=12))
     nodes = st.integers(min_value=0, max_value=max(n - 1, 0))
     succs = [sorted(draw(st.sets(nodes, max_size=3))) for _ in range(n)]
-    # enough keys that blocks of one member, which are never re-signed, are common
-    keys = draw(st.lists(st.sampled_from("abcdefgh"), min_size=n, max_size=n))
+    if n and draw(st.booleans()):
+        # one node a successor of every other, as "true" of each row of a
+        # deadlock-freedom system: the first round re-signs every node
+        hub = draw(nodes)
+        succs = [vs if u == hub else sorted({*vs, hub}) for u, vs in enumerate(succs)]
+    # enough keys that blocks of one member, which are never re-signed, are
+    # common, or a single key
+    alphabet = draw(st.sampled_from(["abcdefgh", "a"]))
+    keys = draw(st.lists(st.sampled_from(alphabet), min_size=n, max_size=n))
     return succs, keys
 
 

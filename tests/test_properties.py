@@ -249,13 +249,20 @@ FLAT_EDITS = {
     "nu as an atom": lambda sign, name, rhs: (sign, name, f"nu {_separator(rhs)} {rhs}"),
     "9X as an atom": lambda sign, name, rhs: (sign, name, f"{rhs} {_separator(rhs)} 9X"),
     "9X as a left-hand side": lambda sign, name, rhs: (sign, "9X", rhs),
+    # operators that sort after every name, and a keyword, as a left-hand side
+    "'}' as a left-hand side": lambda sign, name, rhs: (sign, "}", rhs),
+    "'||' as a left-hand side": lambda sign, name, rhs: (sign, "||", rhs),
+    "mu as a left-hand side": lambda sign, name, rhs: (sign, "mu", rhs),
 }
 
 
 @st.composite
 def flat_texts(draw):
     """A flat system's text with a few random edits, and whether it has none."""
-    names = draw(st.lists(st.sampled_from(["X", "Y", "Z'", "_a"]), min_size=1, unique=True))
+    # names that hold a constant's text are no constants
+    names = draw(
+        st.lists(st.sampled_from(["X", "Y", "Z'", "_a", "Xtrue", "false_"]), min_size=1, unique=True)
+    )
     equations = []
     for name in names:
         atoms = draw(st.lists(st.sampled_from([*names, "true", "false"]), min_size=1, max_size=4))
