@@ -7,17 +7,20 @@ a change of leading operator produces an edge to the subterm node, and
 bound variables carry their rank and inherit the structure of their
 right-hand side.  ``build_srf_graph`` covers systems in standard
 recursive form.  Both read each equation once, in one loop that goes on
-to the subterm nodes it finds.  ``build_graph`` also takes a system's
-text.  If the text is flat, every right-hand side one atom or a chain of
-atoms joined by one connective, with no "(" or "{" anywhere, its graph
-has no subterm nodes and is read without building formula trees: the
-left-hand sides are numbered first, in label order after the constants,
-and then each equation, split once, fills its variable's position in the
-graph's columns.  That reader never raises: it declines any other text,
-which is parsed and built as a system, so every error comes from the
-parser or the tree path.  ``reduce_graph`` eliminates constant nodes and
-``normalise_graph`` ranks the remaining unranked nodes, after which the
-graph translates back into an equation system in SRF.
+to the subterm nodes it finds.  Both refuse a bound name that is no
+identifier, as the parser does, so a node's label, its variable's name or
+its term's canonical text, is unique in the graph and is its key.
+``build_graph`` also takes a system's text.  If the text is flat, every
+right-hand side one atom or a chain of atoms joined by one connective,
+with no "(" or "{" anywhere, its graph has no subterm nodes and is read
+without building formula trees: the left-hand sides are numbered first,
+in label order after the constants, and then each equation, split once,
+fills its variable's position in the graph's columns.  That reader
+never raises: it declines any other text, which is parsed and built as a
+system, so every error comes from the parser or the tree path.
+``reduce_graph`` eliminates constant nodes and ``normalise_graph`` ranks
+the remaining unranked nodes, after which the graph translates back into
+an equation system in SRF.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from typing import Optional
 
 from .errors import BesError, OpenSystemError, UnrankedCycleError
 from .graph import AND, BOT, NONE, OR, TOP, Decoration, StructureGraph, _Ids, _unranked_order
-from .parse import _KEYWORDS, _NAME_START, _padded, parse_bes
+from .parse import _IDENTIFIER_RE, _KEYWORDS, _NAME_START, _padded, parse_bes
 from .syntax import (
     FALSE,
     TRUE,
@@ -56,7 +59,7 @@ def _require_nonempty(es: EquationSystem) -> None:
         raise BesError("structure graphs are defined for non-empty systems")
 
 
-_CONSTANTS = {("true",): Decoration(TOP), ("false",): Decoration(BOT)}
+_CONSTANTS = {True: Decoration(TOP), False: Decoration(BOT)}
 # the operator each class of formula gives its node, in each syntax
 _GENERAL_OPS = {And: AND, Or: OR, Var: NONE, Const: NONE}
 _SRF_OPS = {AndSet: AND, OrSet: OR, Var: NONE}
@@ -67,42 +70,43 @@ _SEPARATORS = {"": NONE, "&&": AND, "||": OR}
 def _graph(es: EquationSystem, t: Formula, ops: dict) -> StructureGraph:
     """The closure of ``t`` and the bound variables, in id order.
 
-    A node is keyed by a bound variable's name, or by a 1-tuple of the
-    text of any other formula, so that ``Var("true")`` and the constant
-    true stay apart; each further formula of one text (possible only with
-    names that are not identifiers) gets a key one ordinal longer.  One
-    loop reads each equation, then each subterm node it finds, and gives
-    the node its decoration (one per class and rank, the operator from
-    ``ops``) and its successor keys: the members of an n-ary connective,
-    or the leaves of the block of one connective, left to right, once
-    each.  An unbound name, or a class ``ops`` lacks, raises ``KeyError``.
-    The text is the label.  Constants come first, then the rest by label;
-    equal labels keep the order a depth-first search from ``t`` and the
-    variables meets them in, the order ``formula_key`` gives.
+    Bound names must be identifiers: a ``BesError`` names the first that
+    is not.  A node is keyed by its label, a variable's name or the text of
+    any other formula, which no name equals; a constant by its value, so
+    that an unbound ``Var("true")`` finds no node.  One loop reads each
+    equation, then each subterm node it finds, and gives the node its
+    decoration (one per class and rank, the operator from ``ops``) and its
+    successor keys: the members of an n-ary connective, or the leaves of
+    the block of one connective, left to right, once each.  An unbound
+    name, or a class ``ops`` lacks, raises ``KeyError``, also where another
+    formula of one text hides it.  Constants come first, then the rest by
+    label.
     """
+    rank = ranks(es)
+    if not _KEYWORDS.isdisjoint(rank) or not all(map(_IDENTIFIER_RE.fullmatch, rank)):
+        x = next(x for x in rank if x in _KEYWORDS or not _IDENTIFIER_RE.fullmatch(x))
+        raise BesError(f"bound variable {x!r} is not an identifier")
     shared: dict = {}  # (class, rank) -> Decoration
-    deco: dict = {}  # key -> Decoration
+    deco: dict = dict(_CONSTANTS)  # key -> Decoration
     succ: dict = {}  # key -> successor keys; () for a constant
-    terms: dict = {}  # subterm key -> formula
-    subterms: list = []  # the worklist: subterm keys in the order found
+    terms: dict = {}  # subterm text -> formula
+    subterms: list = []  # the worklist: (text, formula, None) in the order found
 
     def key_of(f: Formula):
         if f.__class__ is Const:
-            key = ("true",) if f.value else ("false",)
-            succ[key] = ()
-            return key
-        key = (format_formula(f),)
-        while key in terms and terms[key] is not f and not _equal(terms[key], f):
-            key += (len(key),)
+            succ[f.value] = ()
+            return f.value
+        key = format_formula(f)
         if key not in terms:
             terms[key] = f
-            subterms.append(key)
+            subterms.append((key, f, None))
+        elif terms[key] is not f and not occ(f) <= rank.keys():  # one formula if all bound
+            raise KeyError(key)
         return key
 
-    rank = ranks(es)
     init = t.name if t.__class__ is Var else key_of(t)
     variables = zip(rank, [eq.rhs for eq in es.equations], rank.values())
-    for x, f, r in chain(variables, ((key, terms[key], None) for key in subterms)):
+    for x, f, r in chain(variables, subterms):
         cls = f.__class__
         deco[x] = shared.get((cls, r)) or shared.setdefault((cls, r), Decoration(ops[cls], r))
         if cls is And or cls is Or:
@@ -117,8 +121,7 @@ def _graph(es: EquationSystem, t: Formula, ops: dict) -> StructureGraph:
                 if g.__class__ is Var:
                     keys[g.name] = None
                 elif g is TRUE or g is FALSE:  # the parser's shared constants
-                    key = ("true",) if g is TRUE else ("false",)
-                    keys[key] = succ[key] = ()
+                    keys[g.value] = succ[g.value] = ()
                 else:
                     keys[key_of(g)] = None
             succ[x] = list(keys)
@@ -126,29 +129,15 @@ def _graph(es: EquationSystem, t: Formula, ops: dict) -> StructureGraph:
             succ[x] = [f.name]
         else:
             succ[x] = sorted(f.members) if cls is AndSet or cls is OrSet else [key_of(f)]
-    order = [key for key in _CONSTANTS if key in succ]
-    deco.update((key, _CONSTANTS[key]) for key in order)
-    labels = [key[0] for key in order] + sorted([*rank, *(key[0] for key in subterms)])
-    rest = labels[len(order):]
-    key_by_text = {key[0]: key for key in subterms}
-    if len(key_by_text) == len(subterms) and rank.keys().isdisjoint(key_by_text):
-        order += map(key_by_text.get, rest, rest)
-    else:  # equal labels, which keep the order a depth-first search meets them in
-        seen: dict = {}
-        stack = [init, *rank]
-        while stack:
-            key = stack.pop()
-            if key not in seen:
-                seen[key] = None
-                stack += succ[key]
-        label = lambda key: key if key.__class__ is str else key[0]
-        order += sorted((key for key in seen if key not in _CONSTANTS), key=label)
+    constants = [c for c in _CONSTANTS if c in succ]
+    labels = sorted([*rank, *terms])
+    order = constants + labels
     place = {key: j for j, key in enumerate(order)}
     return StructureGraph(
         place[init],
         list(map(deco.__getitem__, order)),
         [sorted(map(place.__getitem__, keys)) for keys in map(succ.__getitem__, order)],
-        labels,
+        ["true" if c else "false" for c in constants] + labels,
         _Ids("n", len(order)),
     )
 
@@ -188,7 +177,7 @@ def _flat_graph(text: str) -> Optional[StructureGraph]:
         return None
     # "true" or "false" inside a name is no constant
     labels = [c for c in ("true", "false") if c in padded and c in chain.from_iterable(rows)]
-    deco = [_CONSTANTS[label,] for label in labels] + [None] * len(names)
+    deco = [_CONSTANTS[label == "true"] for label in labels] + [None] * len(names)
     succ = [[] for _ in labels] + [None] * len(names)
     labels += names
     # a name bound twice keeps one position, which its second equation
@@ -221,20 +210,6 @@ def _flat_graph(text: str) -> Optional[StructureGraph]:
     except KeyError:  # an atom that is no bound name or constant, or a separator
         return None
     return StructureGraph(place[rows[0][1]], deco, succ, labels, _Ids("n", len(labels)))
-
-
-def _equal(f: Formula, g: Formula) -> bool:
-    """``f == g``, read in one loop: the generated ``__eq__`` recurses."""
-    pairs = [(f, g)]
-    while pairs:
-        f, g = pairs.pop()
-        if f.__class__ is not g.__class__:
-            return False
-        if f.__class__ is And or f.__class__ is Or:
-            pairs += (f.right, g.right), (f.left, g.left)
-        elif f != g:
-            return False
-    return True
 
 
 def _require_bound(es: EquationSystem, t: Formula) -> None:

@@ -62,10 +62,12 @@ from .syntax import (
     Var,
 )
 
+# an identifier, which a name is if it is no keyword
+_IDENTIFIER_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
 # an identifier or keyword, a two-character operator, a comment, or any
 # other character but white space: a one-character operator or an
 # unexpected character
-_TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*|&&|\|\||//[^\n]*|[^ \t\r\n]")
+_TOKEN_RE = re.compile(_IDENTIFIER_RE.pattern + r"|&&|\|\||//[^\n]*|[^ \t\r\n]")
 
 _COMMENT_RE = re.compile(r"//[^\n]*")
 # what a text may hold, outside comments, to be tokenized by str.split

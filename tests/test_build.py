@@ -1,5 +1,6 @@
 """Graph construction rules and the reduce/normalise transformations."""
 
+import re
 from functools import reduce
 
 import pytest
@@ -71,68 +72,92 @@ def test_build_graph_with_formula():
     assert bm.is_bessy(g) == []
 
 
-def test_node_identity_with_names_that_are_not_identifiers():
-    # a variable, a constant and a subterm with one text stay distinct nodes,
-    # and so do two different subterms with one text
+def test_bound_names_must_be_identifiers():
+    # a name that is no identifier, or a keyword, could be the text of
+    # another node; both builders refuse it, wherever it is bound
     MU, NU = bm.Fixpoint.MU, bm.Fixpoint.NU
-    es = bm.system(bm.Equation(NU, "true", And(Const(True), Var("true"))))
-    assert bm.serialize_graph(bm.build_graph(es)) == (
-        "sgraph v1\ninit n1\n"
-        'node n0 op=top ranks=- label="true"\n'
-        'node n1 op=and ranks=0 label="true"\n'
-        "edge n1 n0\nedge n1 n1\n"
-    )
+    bad = ["a && b", "true", "false", "mu", "AND", "9X", "'X", "X Y", "", "é", "X\n"]
+    for name in bad:
+        for es in (
+            bm.system(bm.Equation(NU, name, Var(name))),
+            bm.system(bm.Equation(NU, "X", Var(name)), bm.Equation(MU, name, Var("X"))),
+        ):
+            for build in (bm.build_graph, bm.build_srf_graph):
+                with pytest.raises(bm.BesError, match=f"^bound variable {re.escape(repr(name))} "):
+                    build(es)
+    # names that would make a variable, a constant and a subterm share a text
     t = And(Var("a"), Var("b"))
-    es = bm.system(
-        bm.Equation(NU, "a && b", Var("a && b")),
-        bm.Equation(MU, "a", t),
-        bm.Equation(MU, "b", Var("a && b")),
-    )
-    assert bm.serialize_graph(bm.build_graph(es, t)) == (
-        "sgraph v1\ninit n2\n"
-        'node n0 op=and ranks=1 label="a"\n'
-        'node n1 op=none ranks=0 label="a && b"\n'
-        'node n2 op=and ranks=- label="a && b"\n'
-        'node n3 op=none ranks=1 label="b"\n'
-        "edge n0 n0\nedge n0 n3\nedge n1 n1\nedge n2 n0\nedge n2 n3\nedge n3 n1\n"
-    )
-    es = bm.system(
-        bm.Equation(NU, "X", Or(And(Var("a && b"), Var("c")), And(t, Var("c")))),
-        bm.Equation(MU, "a && b", Var("X")),
-        bm.Equation(MU, "a", Var("a")),
-        bm.Equation(MU, "b", Var("X")),
-        bm.Equation(MU, "c", Var("c")),
-    )
-    assert bm.serialize_graph(bm.build_graph(es)) == (
-        "sgraph v1\ninit n0\n"
-        'node n0 op=or ranks=0 label="X"\n'
-        'node n1 op=none ranks=1 label="a"\n'
-        'node n2 op=none ranks=1 label="a && b"\n'
-        'node n3 op=and ranks=- label="a && b && c"\n'
-        'node n4 op=and ranks=- label="a && b && c"\n'
-        'node n5 op=none ranks=1 label="b"\n'
-        'node n6 op=none ranks=1 label="c"\n'
-        "edge n0 n3\nedge n0 n4\nedge n1 n1\nedge n2 n0\nedge n3 n1\nedge n3 n5\n"
-        "edge n3 n6\nedge n4 n2\nedge n4 n6\nedge n5 n0\nedge n6 n6\n"
-    )
+    for es, t, name in (
+        (bm.system(bm.Equation(NU, "true", And(Const(True), Var("true")))), None, "true"),
+        (
+            bm.system(
+                bm.Equation(NU, "a && b", Var("a && b")),
+                bm.Equation(MU, "a", t),
+                bm.Equation(MU, "b", Var("a && b")),
+            ),
+            t,
+            "a && b",
+        ),
+        (
+            bm.system(
+                bm.Equation(NU, "X", Or(And(Var("a && b"), Var("c")), And(t, Var("c")))),
+                bm.Equation(MU, "a && b", Var("X")),
+                bm.Equation(MU, "a", Var("a")),
+                bm.Equation(MU, "b", Var("X")),
+                bm.Equation(MU, "c", Var("c")),
+            ),
+            None,
+            "a && b",
+        ),
+    ):
+        with pytest.raises(bm.BesError, match=f"^bound variable {re.escape(repr(name))} "):
+            bm.build_graph(es, t)
+    # identifiers that hold a keyword, a digit or a prime are names
+    good = ["X'", "_a", "Xtrue", "false_", "a9"]
+    es = bm.system(*(bm.Equation(NU, x, Var(y)) for x, y in zip(good, good[1:] + good[:1])))
+    for build in (bm.build_graph, bm.build_srf_graph):
+        assert build(es).labels == sorted(good)
+
+
+def test_unbound_constant_names():
+    # constants are keyed by their value, not their text: an unbound
+    # Var("true") or Var("false") finds no node, even beside the constant
+    MU, NU = bm.Fixpoint.MU, bm.Fixpoint.NU
+    X = Var("X")
+    for value, name in ((True, "true"), (False, "false")):
+        for c in (Const(value), bm.parse_formula(name)):  # fresh and shared
+            unbound = f"unbound.*: {name}$"
+            es = bm.system(bm.Equation(NU, "X", And(c, Var(name))))
+            with pytest.raises(bm.OpenSystemError, match=unbound):
+                bm.build_graph(es)
+            es = bm.system(bm.Equation(MU, "X", Or(X, c)))
+            for t in (Var(name), And(Var(name), X), Or(X, Var(name))):
+                with pytest.raises(bm.OpenSystemError, match=unbound):
+                    bm.build_graph(es, t)
+            # ... and so does one inside a subterm whose text the constant's
+            # subterm shares, met second in a right-hand side or first as t
+            es = bm.system(bm.Equation(NU, "X", Or(Or(X, And(c, X)), And(Var(name), X))))
+            with pytest.raises(bm.OpenSystemError, match=unbound):
+                bm.build_graph(es)
+            es = bm.system(bm.Equation(NU, "X", Or(X, And(c, X))))
+            with pytest.raises(bm.OpenSystemError, match=unbound):
+                bm.build_graph(es, And(Var(name), X))
 
 
 def test_deep_formulas_of_one_text():
-    # two different 1,000-level formulas of one text, at the interpreter's
-    # own recursion limit: their node keys once held the formulas, and
-    # hashing a key ran the dataclass __hash__, which recurses
+    # two equal 1,000-level formulas, built as distinct objects, at the
+    # interpreter's own recursion limit: they share their nodes, and the
+    # generated __eq__, which recurses, never compares them
     MU, NU = bm.Fixpoint.MU, bm.Fixpoint.NU
-    nests = [And(Var("a && b"), Var("c")), And(And(Var("a"), Var("b")), Var("c"))]
+    nests = [And(Var("a"), Var("c")), And(Var("a"), Var("c"))]
     for level in range(1000):
         nests = [(And if level % 2 == 0 else Or)(Var("c"), f) for f in nests]
-    es = bm.system(
-        *(bm.Equation(MU, x, Var("c")) for x in ("a && b", "a", "b")),
-        bm.Equation(NU, "c", Var("c")),
-        bm.Equation(MU, "X", Or(*nests)),
-    )
-    g = bm.build_graph(es)
-    # the five variables, and 999 texts of two nodes each: X flattens the top level
-    assert (len(g.labels), len(set(g.labels))) == (2003, 1004)
+    assert nests[0] is not nests[1]
+    equations = [bm.Equation(MU, "a", Var("c")), bm.Equation(NU, "c", Var("c"))]
+    g = bm.build_graph(bm.system(*equations, bm.Equation(MU, "X", Or(*nests))))
+    # the three variables, and 999 texts of one node each: X flattens the top level
+    assert (len(g.labels), len(set(g.labels))) == (1002, 1002)
+    assert g == bm.build_graph(bm.system(*equations, bm.Equation(MU, "X", nests[0])))
 
 
 def test_build_graph_preconditions():
@@ -228,24 +253,15 @@ def test_normalise_requires_reduced_graph():
         bm.normalise_graph(g)
 
 
-def test_verify_finds_variables_by_rank_not_by_label():
-    # a variable named like a subterm of the other equation, in both orders
+def test_verify_refuses_a_variable_named_like_a_subterm():
+    # "Y && Y" is the text of a subterm of Y's equation, in both orders
     MU, NU = bm.Fixpoint.MU, bm.Fixpoint.NU
     y = bm.Equation(NU, "Y", Or(Var("Y && Y"), And(Var("Y"), Var("Y"))))
     z = bm.Equation(MU, "Y && Y", Var("Y && Y"))
     for es in (bm.system(y, z), bm.system(z, y)):
-        result = bm.verify_system(es)
-        assert result.ok, result.mismatches
-        m = bm.pipeline(es)
-        # each variable is the ranked node of its name, mapped to its block
-        image = {
-            label: m.names[m.block_of[u]]
-            for u, (d, label) in enumerate(zip(m.graph.deco, m.graph.labels))
-            if d.rank is not None
-        }
-        minimised = bm.solve_gauss(m.system)
-        original = bm.solve_gauss(es)
-        assert {x: minimised[image[x]] for x in original} == original
+        for run in (bm.verify_system, bm.pipeline):
+            with pytest.raises(bm.BesError, match="^bound variable 'Y && Y' is not an "):
+                run(es)
 
 
 def test_normalise_unranked_cycle_rejected():
@@ -291,13 +307,12 @@ def test_bisimilar_in_context():
     assert not bm.bisimilar(bm.build_graph(es, x), bm.build_graph(es, y))  # ranks 1 vs 2
 
 
-# names that are not identifiers, so that texts collide: the variable
-# "a && b" and the subterm a && b, or (a && b) && c and "a && b" && c
-NAMES = ["a", "b", "c", "a && b", "b || c", "true"]
-# leaves that make such collisions common; the last equals the second
-# as another object
+# identifiers, one holding a keyword and one a prime
+NAMES = ["a", "b", "c", "Xtrue", "a'"]
+# leaves that make shared subterms common: the fourth equals the first and
+# the last the second, each as another object
 A, B, C = Var("a"), Var("b"), Var("c")
-COLLIDING = [And(A, B), Or(B, C), And(And(A, B), C), And(Var("a && b"), C), Or(B, Var("c"))]
+COLLIDING = [And(A, B), Or(B, C), And(And(A, B), C), And(Var("a"), B), Or(B, Var("c"))]
 MU, NU = bm.Fixpoint.MU, bm.Fixpoint.NU
 
 
