@@ -33,8 +33,6 @@ from .errors import BesError, OpenSystemError, UnrankedCycleError
 from .graph import AND, BOT, NONE, OR, TOP, Decoration, StructureGraph, _Ids, _unranked_order
 from .parse import _IDENTIFIER_RE, _KEYWORDS, _NAME_START, _padded, parse_bes
 from .syntax import (
-    FALSE,
-    TRUE,
     And,
     AndSet,
     Const,
@@ -59,7 +57,7 @@ def _require_nonempty(es: EquationSystem) -> None:
         raise BesError("structure graphs are defined for non-empty systems")
 
 
-_CONSTANTS = {True: Decoration(TOP), False: Decoration(BOT)}
+_CONSTANTS = {"true": Decoration(TOP), "false": Decoration(BOT)}
 # the operator each class of formula gives its node, in each syntax
 _GENERAL_OPS = {And: AND, Or: OR, Var: NONE, Const: NONE}
 _SRF_OPS = {AndSet: AND, OrSet: OR, Var: NONE}
@@ -71,16 +69,15 @@ def _graph(es: EquationSystem, t: Formula, ops: dict) -> StructureGraph:
     """The closure of ``t`` and the bound variables, in id order.
 
     Bound names must be identifiers: a ``BesError`` names the first that
-    is not.  A node is keyed by its label, a variable's name or the text of
-    any other formula, which no name equals; a constant by its value, so
-    that an unbound ``Var("true")`` finds no node.  One loop reads each
-    equation, then each subterm node it finds, and gives the node its
-    decoration (one per class and rank, the operator from ``ops``) and its
-    successor keys: the members of an n-ary connective, or the leaves of
-    the block of one connective, left to right, once each.  An unbound
-    name, or a class ``ops`` lacks, raises ``KeyError``, also where another
-    formula of one text hides it.  Constants come first, then the rest by
-    label.
+    is not.  A node is keyed by its label: a variable's name or the text of
+    any other formula, which no name equals.  One loop reads each equation,
+    then each subterm node it finds, and gives the node its decoration (one
+    per class and rank, the operator from ``ops``) and its successor keys:
+    the members of an n-ary connective, or the leaves of the block of one
+    connective, left to right, once each.  Each variable read is looked up
+    among the bound names, so an unbound one, even with a node's label, or a
+    class ``ops`` lacks, raises ``KeyError``, also where another formula of
+    one text hides it.  Constants come first, then the rest by label.
     """
     rank = ranks(es)
     if not _KEYWORDS.isdisjoint(rank) or not all(map(_IDENTIFIER_RE.fullmatch, rank)):
@@ -92,10 +89,11 @@ def _graph(es: EquationSystem, t: Formula, ops: dict) -> StructureGraph:
     terms: dict = {}  # subterm text -> formula
     subterms: list = []  # the worklist: (text, formula, None) in the order found
 
-    def key_of(f: Formula):
+    def key_of(f: Formula) -> str:
         if f.__class__ is Const:
-            succ[f.value] = ()
-            return f.value
+            key = "true" if f.value else "false"
+            succ[key] = ()
+            return key
         key = format_formula(f)
         if key not in terms:
             terms[key] = f
@@ -104,6 +102,8 @@ def _graph(es: EquationSystem, t: Formula, ops: dict) -> StructureGraph:
             raise KeyError(key)
         return key
 
+    if t.__class__ is Var and t.name not in rank:
+        raise KeyError(t.name)
     init = t.name if t.__class__ is Var else key_of(t)
     variables = zip(rank, [eq.rhs for eq in es.equations], rank.values())
     for x, f, r in chain(variables, subterms):
@@ -119,26 +119,24 @@ def _graph(es: EquationSystem, t: Formula, ops: dict) -> StructureGraph:
                     stack.append(g.right)
                     g = g.left
                 if g.__class__ is Var:
-                    keys[g.name] = None
-                elif g is TRUE or g is FALSE:  # the parser's shared constants
-                    keys[g.value] = succ[g.value] = ()
+                    keys[g.name] = rank[g.name]  # the lookup refuses an unbound name
                 else:
                     keys[key_of(g)] = None
             succ[x] = list(keys)
         elif cls is Var:
+            if f.name not in rank:
+                raise KeyError(f.name)
             succ[x] = [f.name]
         else:
             succ[x] = sorted(f.members) if cls is AndSet or cls is OrSet else [key_of(f)]
-    constants = [c for c in _CONSTANTS if c in succ]
-    labels = sorted([*rank, *terms])
-    order = constants + labels
-    place = {key: j for j, key in enumerate(order)}
+    labels = [c for c in _CONSTANTS if c in succ] + sorted([*rank, *terms])
+    place = {key: j for j, key in enumerate(labels)}
     return StructureGraph(
         place[init],
-        list(map(deco.__getitem__, order)),
-        [sorted(map(place.__getitem__, keys)) for keys in map(succ.__getitem__, order)],
-        ["true" if c else "false" for c in constants] + labels,
-        _Ids("n", len(order)),
+        list(map(deco.__getitem__, labels)),
+        [sorted(map(place.__getitem__, keys)) for keys in map(succ.__getitem__, labels)],
+        labels,
+        _Ids("n", len(labels)),
     )
 
 
@@ -176,8 +174,8 @@ def _flat_graph(text: str) -> Optional[StructureGraph]:
     ):
         return None
     # "true" or "false" inside a name is no constant
-    labels = [c for c in ("true", "false") if c in padded and c in chain.from_iterable(rows)]
-    deco = [_CONSTANTS[label == "true"] for label in labels] + [None] * len(names)
+    labels = [c for c in _CONSTANTS if c in padded and c in chain.from_iterable(rows)]
+    deco = [_CONSTANTS[label] for label in labels] + [None] * len(names)
     succ = [[] for _ in labels] + [None] * len(names)
     labels += names
     # a name bound twice keeps one position, which its second equation

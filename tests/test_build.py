@@ -119,8 +119,8 @@ def test_bound_names_must_be_identifiers():
         assert build(es).labels == sorted(good)
 
 
-def test_unbound_constant_names():
-    # constants are keyed by their value, not their text: an unbound
+def test_unbound_names_with_a_node_label():
+    # each variable read is looked up among the bound names: an unbound
     # Var("true") or Var("false") finds no node, even beside the constant
     MU, NU = bm.Fixpoint.MU, bm.Fixpoint.NU
     X = Var("X")
@@ -142,6 +142,21 @@ def test_unbound_constant_names():
             es = bm.system(bm.Equation(NU, "X", Or(X, And(c, X))))
             with pytest.raises(bm.OpenSystemError, match=unbound):
                 bm.build_graph(es, And(Var(name), X))
+    # ... nor does an unbound Var("a && b") beside the subterm a && b: in a
+    # right-hand side, as a whole right-hand side, or as t
+    a, b, ab = Var("a"), Var("b"), Var("a && b")
+    leaves = [bm.Equation(MU, "a", a), bm.Equation(MU, "b", b)]
+    unbound = r"unbound.*: a && b$"
+    for rhs in (Or(ab, And(a, b)), Or(And(a, b), ab), Or(X, Or(ab, And(a, b)))):
+        with pytest.raises(bm.OpenSystemError, match=unbound):
+            bm.build_graph(bm.system(bm.Equation(NU, "X", rhs), *leaves))
+    es = bm.system(bm.Equation(NU, "X", ab), bm.Equation(MU, "Y", Or(X, And(a, b))), *leaves)
+    with pytest.raises(bm.OpenSystemError, match=unbound):
+        bm.build_graph(es)
+    es = bm.system(bm.Equation(NU, "X", Or(X, And(a, b))), *leaves)
+    for t in (ab, Or(ab, X)):
+        with pytest.raises(bm.OpenSystemError, match=unbound):
+            bm.build_graph(es, t)
 
 
 def test_deep_formulas_of_one_text():
