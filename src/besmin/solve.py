@@ -1,8 +1,11 @@
 """Two independent solution procedures for closed equation systems.
 
 ``solve_recursive`` evaluates the recursive solution definition literally
-and serves as the ground-truth oracle: exponential, fine up to about 15
-variables, and refusing systems of more than ``ORACLE_MAX_EQUATIONS``.
+and serves as the ground-truth oracle.  It memoises each suffix of the
+system on the values of the earlier variables that the suffix reads, so it
+is exponential only in the variables that stay live across the system; it
+refuses systems of more than ``ORACLE_MAX_EQUATIONS`` and stops with an
+error after ``ORACLE_MAX_MEMO`` memo entries.
 ``solve_gauss`` eliminates from the last equation to the first and then
 substitutes forward, on a hash-consed table of integer nodes: 0 is false,
 1 is true, 2 + i is X_i, bound by equation i, and connectives ``(op, left,
@@ -62,8 +65,13 @@ def eval_formula(f: Formula, env: Environment) -> bool:
 
 
 # The oracle nests one call per equation, so a bound on the equations keeps
-# it within Python's recursion limit; below it, it is exponential anyway.
+# it within Python's recursion limit.
 ORACLE_MAX_EQUATIONS = 500
+# Its memo holds a suffix's solution once per valuation of the earlier
+# variables the suffix reads, which is still exponential in the variables
+# that stay live.  An entry, an int key and a pair, costs about 200 bytes, so
+# the bound keeps the memo near 200 MB.
+ORACLE_MAX_MEMO = 1_000_000
 
 
 def require_oracle_size(es: EquationSystem) -> None:
@@ -81,27 +89,73 @@ def solve_recursive(es: EquationSystem, env: Environment) -> dict[str, bool]:
     the restriction to the bound variables is the solution.
     """
     require_oracle_size(es)
-    return dict(_solve_from(es.equations, 0, dict(env), {}))
+    equations = es.equations
+    bits = {eq.lhs: 1 << i for i, eq in enumerate(equations)}
+    # Bit j stands for X_j, bound by equation j.  needed[i] holds the bits of
+    # the variables bound before i that equations i ... n-1 read.  The walk
+    # dispatches on the class, as ``eval_formula`` does: ``occ``'s isinstance
+    # tests would cost a tenth of a whole solve of three equations.
+    needed = [0] * len(equations)
+    reads = 0
+    for i in reversed(range(len(equations))):
+        todo = [equations[i].rhs]
+        while todo:
+            f = todo.pop()
+            cls = f.__class__
+            if cls is And or cls is Or:
+                todo += f.left, f.right
+            elif cls is Var:
+                reads |= bits.get(f.name, 0)
+            elif cls is AndSet or cls is OrSet:
+                for x in f.members:
+                    reads |= bits.get(x, 0)
+        needed[i] = reads & ((1 << i) - 1)
+    solution = dict(env)
+    _solve_from(equations, 0, 0, solution, needed, {})
+    return solution
 
 
 def _solve_from(
-    equations: tuple[Equation, ...], i: int, env: dict[str, bool], memo: dict
-) -> dict[str, bool]:
-    # A pure function of ``i`` and ``env``, so identical calls (which the
-    # literal recursion produces in abundance) share one result.  It is not
-    # a closure: one that called itself would keep ``memo`` in a reference
-    # cycle, which only the cyclic collector frees.
+    equations: tuple[Equation, ...],
+    i: int,
+    path: int,
+    env: dict[str, bool],
+    needed: list[int],
+    memo: dict,
+):
+    # Solves equations i ... n-1 in ``env`` and leaves their solution in it.
+    # ``env`` holds the values of the variables bound before i, also as the
+    # bits of ``path``, and the caller's values of the free variables, which
+    # no call changes.  So the result is a function of i and the bits of
+    # ``needed[i]`` in ``path`` alone, and it is memoised on them, with bit i
+    # to tell the suffixes apart.  A free variable missing from ``env`` fails
+    # only where evaluation reads it.  The result is X_i's value and the
+    # result of the suffix from i + 1 that it extends, so each memo entry
+    # adds one value.  It is not a closure: one that called itself would keep
+    # ``memo`` in a reference cycle, which only the cyclic collector frees.
     if i == len(equations):
-        return env
-    key = (i, frozenset(env.items()))
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
+        return None
+    bit = 1 << i
+    key = path & needed[i] | bit
+    result = memo.get(key)
+    if result is not None:
+        rest = result
+        for j in range(i, len(equations)):
+            env[equations[j].lhs], rest = rest
+        return result
     eq = equations[i]
-    inner = _solve_from(equations, i + 1, {**env, eq.lhs: eq.sign is NU}, memo)
-    value = eval_formula(eq.rhs, inner)
-    result = _solve_from(equations, i + 1, {**env, eq.lhs: value}, memo)
-    memo[key] = result
+    assumed = env[eq.lhs] = eq.sign is NU
+    rest = _solve_from(equations, i + 1, path | bit if assumed else path, env, needed, memo)
+    value = eval_formula(eq.rhs, env)
+    if value != assumed:
+        env[eq.lhs] = value
+        rest = _solve_from(equations, i + 1, path | bit if value else path, env, needed, memo)
+    if len(memo) == ORACLE_MAX_MEMO:
+        raise BesError(
+            f"the recursive oracle keeps at most {ORACLE_MAX_MEMO} memo entries; "
+            "this system needs more"
+        )
+    memo[key] = result = value, rest
     return result
 
 

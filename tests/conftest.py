@@ -44,6 +44,28 @@ def oracle(es: bm.EquationSystem) -> dict[str, bool]:
     return {x: v for x, v in bm.solve_recursive(es, {}).items() if x in bm.bnd(es)}
 
 
+def reference_oracle(es: bm.EquationSystem, env) -> dict[str, bool]:
+    """The recursive oracle with its memo keyed on the whole environment,
+    each result a copy of it: exponential in every variable, the yardstick
+    that ``solve_recursive`` must match on small systems."""
+    return dict(_reference_solve_from(es.equations, 0, dict(env), {}))
+
+
+def _reference_solve_from(equations, i, env, memo):
+    if i == len(equations):
+        return env
+    key = (i, frozenset(env.items()))
+    cached = memo.get(key)
+    if cached is not None:
+        return cached
+    eq = equations[i]
+    inner = _reference_solve_from(equations, i + 1, {**env, eq.lhs: eq.sign is bm.Fixpoint.NU}, memo)
+    value = bm.eval_formula(eq.rhs, inner)
+    result = _reference_solve_from(equations, i + 1, {**env, eq.lhs: value}, memo)
+    memo[key] = result
+    return result
+
+
 def graph(init, deco, edges, labels=None) -> bm.StructureGraph:
     """A graph from ``deco``, a dict of nodes keyed by id and listed in id
     order, edges as id pairs and labels keyed by id (default: the ids)."""

@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import besmin as bm
+import besmin.solve
 import besmin.verify
 from besmin.cli import main
 from conftest import at_recursion_limit, chain
@@ -124,6 +125,15 @@ def test_oracle_bound_exit_2(tmp_path, capsys):
         assert run(capsys, *command, str(path)) == (2, "", message), command
     code, out, err = run(capsys, "solve", str(path))
     assert (code, err, out.count(" = false\n")) == (0, "", 1201)
+
+
+def test_oracle_memo_bound_exit_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(besmin.solve, "ORACLE_MAX_MEMO", 10)
+    path = tmp_path / "chain.bes"
+    path.write_text(chain(20))
+    message = "error: the recursive oracle keeps at most 10 memo entries; this system needs more\n"
+    for command in (("solve", "--method", "oracle"), ("verify",)):
+        assert run(capsys, *command, str(path)) == (2, "", message), command
 
 
 def test_graph_sgraph_output(capsys):

@@ -1,15 +1,17 @@
 """Solvers: the recursive oracle, Gauss elimination, and their agreement."""
 
 import gc
+import random
 import time
 
 import pytest
 
 import besmin as bm
+import besmin.solve
 import besmin.verify
 from besmin import Var
 from besmin.solve import ORACLE_MAX_EQUATIONS
-from conftest import chain, oracle
+from conftest import chain, oracle, reference_oracle
 
 
 def test_eval_formula():
@@ -124,11 +126,58 @@ def test_solvers_agree_on_random_systems():
         )
         es = bm.gen_bes(cfg)
         assert bm.solve_gauss(es) == oracle(es), bm.print_bes(es)
-    for n in range(9, 13):
-        for seed in range(10):
-            for gen in (bm.gen_bes, bm.gen_srf_bes):
+    # the oracle memoises on what each suffix reads, which stays small in
+    # gen_bes systems; an SRF system's sets keep most variables live, so
+    # there it is exponential, and at n = 27 a seed of ten needs more memo
+    # entries than it keeps
+    for gen, largest in ((bm.gen_bes, 40), (bm.gen_srf_bes, 24)):
+        for n in range(9, largest + 1):
+            for seed in range(10):
                 es = gen(bm.GenConfig(variable_count=n, seed=seed))
                 assert bm.solve_gauss(es) == oracle(es), bm.print_bes(es)
+
+
+def test_oracle_matches_the_reference_oracle():
+    # the reference memoises on the whole environment; open systems are
+    # random systems without some of their equations, given a value for
+    # every variable of the system they came from
+    for n in range(1, 13):
+        for seed in range(25):
+            for gen in (bm.gen_bes, bm.gen_srf_bes):
+                es = gen(bm.GenConfig(variable_count=n, seed=seed))
+                rng = random.Random(f"{gen.__name__}|{n}|{seed}")
+                kept = [eq for eq in es if rng.random() < 0.7]
+                env = {eq.lhs: rng.random() < 0.5 for eq in es}
+                for system, given in ((es, {}), (bm.EquationSystem(kept), env)):
+                    expected = reference_oracle(system, given)
+                    solution = bm.solve_recursive(system, given)
+                    assert list(solution.items()) == list(expected.items()), bm.print_bes(system)
+
+
+def test_oracle_reads_a_partial_environment_only_where_it_must():
+    # a variable outside the environment fails only where evaluation reads it
+    assert bm.solve_recursive(bm.parse_bes("mu X = false && Z;"), {}) == {"X": False}
+    with pytest.raises(bm.BesError, match="^variable Z is outside the environment domain$"):
+        bm.solve_recursive(bm.parse_bes("mu X = Z && false;"), {})
+
+
+def test_verify_a_chain_in_well_under_a_second():
+    # a memo keyed on the whole environment re-solved each link at every
+    # occurrence: verify took 61 s on 20 links
+    start = time.perf_counter()
+    result = bm.verify_system(bm.parse_bes(chain(20)))
+    assert time.perf_counter() - start < 1
+    assert result.ok
+
+
+def test_oracle_stops_at_its_memo_bound(monkeypatch):
+    monkeypatch.setattr(besmin.solve, "ORACLE_MAX_MEMO", 10)
+    message = "^the recursive oracle keeps at most 10 memo entries; this system needs more$"
+    with pytest.raises(bm.BesError, match=message):
+        bm.solve_recursive(bm.parse_bes(chain(20)), {})
+    with pytest.raises(bm.BesError, match=message):
+        bm.verify_system(bm.parse_bes(chain(20)))
+    assert oracle(bm.parse_bes(chain(8))) == {f"X{i}": False for i in range(9)}
 
 
 def test_gauss_at_sizes_the_oracle_refuses():
