@@ -50,7 +50,6 @@ from .syntax import (
     alternation_hierarchy,
     bnd,
     format_formula,
-    formula_key,
     is_closed,
     is_general_syntax,
     is_srf,

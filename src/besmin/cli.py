@@ -22,7 +22,6 @@ from .syntax import (
     alternation_hierarchy,
     is_closed,
     occ,
-    print_bes,
     ranks,
     require_closed,
     size,
@@ -78,10 +77,10 @@ def _cmd_check(args) -> int:
 
 def _cmd_solve(args) -> int:
     es = _load_system(args)
-    require_closed(es)
     if not es.equations:
         return EXIT_OK
     if args.method == "oracle":
+        require_closed(es)  # solve_gauss checks it itself
         solution = solve_recursive(es, {})
     else:
         solution = solve_gauss(es)
@@ -119,9 +118,10 @@ def _cmd_minimize(args) -> int:
     for label, block in zip(m.graph.labels, m.block_of):
         members[block].append(label)
     by_name = dict(zip(m.names, members))
-    lines = [print_bes(m.system), "---\n", f"equations: {len(m.system.equations)}\n"]
-    for eq in m.system:
-        lines.append(f"{eq.lhs} <= {{{', '.join(by_name[eq.lhs])}}}\n")
+    equations = m.text.count("\n")  # one line each, for X0, X1, …
+    lines = [m.text, "---\n", f"equations: {equations}\n"]
+    for x in (f"X{i}" for i in range(equations)):
+        lines.append(f"{x} <= {{{', '.join(by_name[x])}}}\n")
     sys.stdout.write("".join(lines))
     return EXIT_OK
 

@@ -18,25 +18,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import BesError, NotBessyError
-from .syntax import (
-    FALSE,
-    MU,
-    NU,
-    TRUE,
-    And,
-    AndSet,
-    Equation,
-    EquationSystem,
-    Formula,
-    Or,
-    OrSet,
-    Var,
-    formula_key,
-    is_srf,
-    is_closed,
-    occ,
-    ranks,
-)
+from .syntax import AndSet, EquationSystem, OrSet, is_closed, is_srf, occ, ranks
 
 
 class Op(enum.Enum):
@@ -213,57 +195,68 @@ def is_bessy(g: StructureGraph) -> list[str]:
 # translation back into an equation system
 
 
-def _nest(op, operands: list[tuple]) -> Formula:
-    """The terms of ``(formula_key, term)`` operands, each once, in key
-    order and nested to the right under ``op``; one operand is returned as
-    it is."""
-    if len(operands) == 1:
-        return operands[0][1]
-    # the operands are variables, constants and terms over them, so their
-    # canonical texts tell them apart without hashing the formulas
-    unique = dict(operands)
-    keys = sorted(unique)
-    result = unique[keys.pop()]
-    for k in reversed(keys):
-        result = op(unique[k], result)
-    return result
+# an operand's sort key is its text, but true's and false's keys sort before
+# every other text, which starts with "(", "X", "f" or "t"
+_CONSTANT = {TOP: ("\0", "true"), BOT: ("\1", "false")}
 
 
-def translate(g: StructureGraph) -> tuple[Formula, EquationSystem, list[str]]:
-    """Translate a BESsy graph; also returns each node's variable name, ``X0``,
-    ``X1``, …: ranked nodes by rank, then position; other nodes by position."""
+def _nest(op: Op, vs: list[int], key: list[str], text: list[str], conn: list) -> tuple:
+    """The key, text and connective of the terms of nodes ``vs``, each once,
+    in key order and nested to the right under ``op``: the text
+    ``format_formula`` gives the term.  One term is returned as it is."""
+    if len(vs) > 1:
+        unique = {key[v]: v for v in vs}
+        if len(unique) > 1:
+            *vs, last = map(unique.__getitem__, sorted(unique))
+            sep, other = (" && ", OR) if op is AND else (" || ", AND)
+            # an operand continues the left spine unless it is the other
+            # connective; the last one is in parentheses if it is a connective
+            parts = [text[v] if conn[v] is not other else "(" + text[v] + ")" for v in vs]
+            tail = text[last] if conn[last] is None else "(" + text[last] + ")"
+            nested = (sep + "(").join(parts) + sep + tail + ")" * (len(parts) - 1)
+            return nested, nested, op
+    v = vs[0]  # the operands share one key, and so their text
+    return key[v], text[v], conn[v]
+
+
+def translate(g: StructureGraph) -> tuple[str, str, list[str]]:
+    """Translate a BESsy graph into the text of its equation system, as
+    ``print_bes`` prints it.
+
+    Returns the text of the initial formula, the system's text and each
+    node's variable name, ``X0``, ``X1``, …: ranked nodes by rank, then
+    position; other nodes by position.  The equations are the ranked nodes
+    in name order.  A ranked node is its variable, an unranked ▲/▽ node
+    nests the terms of its successors to the right, in the order of their
+    texts with ``true`` and ``false`` first, a constant is itself and any
+    other node its variable.
+    """
     violations, order = _validate(g)
     if violations:
         raise NotBessyError("; ".join(violations))
-    rank = [d.rank for d in g.deco]
+    deco, succ = g.deco, g.succ
+    rank = [d.rank for d in deco]
     ranked = sorted([u for u, r in enumerate(rank) if r is not None], key=rank.__getitem__)
     rest = [u for u, r in enumerate(rank) if r is None]
     names = [""] * len(g.ids)
     for i, u in enumerate(ranked + rest):
         names[u] = f"X{i}"
-    # each node's operand, its formula_key and term, built once: a ranked
-    # node is its variable, an unranked ▲/▽ node nests the terms of its
-    # successors, a constant is itself and any other node its variable
-    operands: list[tuple] = [None] * len(g.ids)
-    for u in ranked:
-        operands[u] = (1, 0, names[u]), Var(names[u])  # formula_key of a Var
+    # each node's operand as its sort key, text and connective, composed
+    # once from its successors'
+    key, text, conn = names[:], names[:], [None] * len(names)
     for u in order:
-        op = g.deco[u].op
+        op = deco[u].op
         if op is AND or op is OR:
-            term = _nest(And if op is AND else Or, [operands[v] for v in g.succ[u]])
+            key[u], text[u], conn[u] = _nest(op, succ[u], key, text, conn)
         elif op is TOP or op is BOT:
-            term = TRUE if op is TOP else FALSE
-        else:
-            term = Var(names[u])
-        operands[u] = formula_key(term), term
-    equations = []
+            key[u], text[u] = _CONSTANT[op]
+    lines = []
     for u in ranked:
-        sign = MU if rank[u] % 2 == 1 else NU
         # by constraints 2 and 3, a node without ▲/▽ has one successor,
         # which _nest returns as it is
-        rhs = _nest(And if g.deco[u].op is AND else Or, [operands[v] for v in g.succ[u]])
-        equations.append(Equation(sign, names[u], rhs))
-    return operands[g.init][1], EquationSystem(tuple(equations)), names
+        rhs = _nest(deco[u].op, succ[u], key, text, conn)[1]
+        lines.append(f"{'mu' if rank[u] % 2 == 1 else 'nu'} {names[u]} = {rhs};\n")
+    return text[g.init], "".join(lines), names
 
 
 # ---------------------------------------------------------------------------

@@ -186,17 +186,6 @@ def print_bes(es: EquationSystem) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-# ---------------------------------------------------------------------------
-# Total order on constants, variables and formulae: true before false before
-# everything else; non-constants compared by their canonical text.
-
-
-def formula_key(f: Formula):
-    if isinstance(f, Const):
-        return (0, 0 if f.value else 1, "")
-    return (1, 0, format_formula(f))
-
-
 def least_variable(es: EquationSystem) -> str:
     if not es.equations:
         raise BesError("empty equation system has no bound variables")

@@ -1,12 +1,13 @@
 """The minimisation pipeline and the end-to-end check of its result.
 
 ``pipeline`` builds the structure graph of a closed system, minimises it
-and translates the quotient back into an equation system; ``besmin
-minimize --emit bes`` prints that system.  ``verify_system`` checks the
-paper's solution-preservation result on exactly that system: the
+and translates the quotient back into the text of an equation system,
+which ``besmin minimize --emit bes`` prints as it is.  ``verify_system``
+checks the paper's solution-preservation result on exactly that text: the
 quotient is bisimilar to the structure graph, and solving the original
-and the minimised system with both solvers gives every variable the
-solution of the variable it is mapped to through the quotient.
+system and the system the text parses to with both solvers gives every
+variable the solution of the variable it is mapped to through the
+quotient.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from dataclasses import dataclass
 
 from .build import build_graph
 from .graph import StructureGraph, bisimilar, minimize, translate
+from .parse import parse_bes
 from .solve import require_oracle_size, solve_gauss, solve_recursive
 from .syntax import EquationSystem
 
@@ -24,8 +26,8 @@ class PipelineResult:
     graph: StructureGraph  # the structure graph of the system
     quotient: StructureGraph
     block_of: list[int]  # graph node -> quotient node
-    system: EquationSystem  # the translated quotient
-    names: list[str]  # quotient node -> variable of ``system``
+    text: str  # the translated quotient's equation system, printed
+    names: list[str]  # quotient node -> variable of ``text``
 
 
 def pipeline(es: EquationSystem | str) -> PipelineResult:
@@ -35,8 +37,8 @@ def pipeline(es: EquationSystem | str) -> PipelineResult:
     """
     graph = build_graph(es)
     quotient, block_of = minimize(graph)
-    _, system, names = translate(quotient)
-    return PipelineResult(graph, quotient, block_of, system, names)
+    _, text, names = translate(quotient)
+    return PipelineResult(graph, quotient, block_of, text, names)
 
 
 @dataclass(frozen=True)
@@ -55,10 +57,11 @@ def verify_system(es: EquationSystem) -> VerifyResult:
         if d.rank is not None
     }
 
+    minimised = parse_bes(m.text)
     original_gauss = solve_gauss(es)
     original_oracle = solve_recursive(es, {})
-    minimised_gauss = solve_gauss(m.system)
-    minimised_oracle = solve_recursive(m.system, {})
+    minimised_gauss = solve_gauss(minimised)
+    minimised_oracle = solve_recursive(minimised, {})
 
     mismatches = []
     if not bisimilar(m.graph, m.quotient):

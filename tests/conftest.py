@@ -66,6 +66,78 @@ def _reference_solve_from(equations, i, env, memo):
     return result
 
 
+def reference_formula_key(f: bm.Formula):
+    """True before false before every other formula, in canonical text order."""
+    if isinstance(f, bm.Const):
+        return (0, 0 if f.value else 1, "")
+    return (1, 0, bm.format_formula(f))
+
+
+def _reference_nest(op, operands: list[tuple]) -> bm.Formula:
+    if len(operands) == 1:
+        return operands[0][1]
+    unique = dict(operands)
+    keys = sorted(unique)
+    result = unique[keys.pop()]
+    for k in reversed(keys):
+        result = op(unique[k], result)
+    return result
+
+
+def reference_translate(g: bm.StructureGraph):
+    """``translate`` as formula trees: the initial formula, the equation
+    system and the node names, each term's operands sorted by
+    ``reference_formula_key`` and nested to the right; the yardstick whose
+    printed text ``translate`` must give."""
+    violations = bm.is_bessy(g)
+    if violations:
+        raise bm.NotBessyError("; ".join(violations))
+    rank = [d.rank for d in g.deco]
+    ranked = sorted([u for u, r in enumerate(rank) if r is not None], key=rank.__getitem__)
+    rest = [u for u, r in enumerate(rank) if r is None]
+    names = [""] * len(g.ids)
+    for i, u in enumerate(ranked + rest):
+        names[u] = f"X{i}"
+    operands: list = [None] * len(g.ids)
+    for u in ranked:
+        operands[u] = (1, 0, names[u]), bm.Var(names[u])
+    for u in _reference_unranked_order(g):
+        op = g.deco[u].op
+        if op in (bm.Op.AND, bm.Op.OR):
+            connective = bm.And if op is bm.Op.AND else bm.Or
+            term = _reference_nest(connective, [operands[v] for v in g.succ[u]])
+        elif op in (bm.Op.TOP, bm.Op.BOT):
+            term = bm.Const(op is bm.Op.TOP)
+        else:
+            term = bm.Var(names[u])
+        operands[u] = reference_formula_key(term), term
+    equations = []
+    for u in ranked:
+        sign = bm.Fixpoint.MU if rank[u] % 2 == 1 else bm.Fixpoint.NU
+        connective = bm.And if g.deco[u].op is bm.Op.AND else bm.Or
+        rhs = _reference_nest(connective, [operands[v] for v in g.succ[u]])
+        equations.append(bm.Equation(sign, names[u], rhs))
+    return operands[g.init][1], bm.EquationSystem(tuple(equations)), names
+
+
+def _reference_unranked_order(g: bm.StructureGraph) -> list[int]:
+    """The unranked nodes, each after its unranked successors (an acyclic
+    subgraph, as ``is_bessy`` checked)."""
+    order: dict[int, None] = {}
+    for root, d in enumerate(g.deco):
+        stack = [(root, False)] if d.rank is None else []
+        while stack:
+            u, expanded = stack.pop()
+            if u in order:
+                continue
+            if expanded:
+                order[u] = None
+                continue
+            stack.append((u, True))
+            stack += ((v, False) for v in reversed(g.succ[u]) if g.deco[v].rank is None)
+    return list(order)
+
+
 def graph(init, deco, edges, labels=None) -> bm.StructureGraph:
     """A graph from ``deco``, a dict of nodes keyed by id and listed in id
     order, edges as id pairs and labels keyed by id (default: the ids)."""

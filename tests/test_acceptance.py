@@ -97,7 +97,8 @@ def test_criterion_4_normalisation():
     with criterion(4, "normalisation"):
         es = bm.fixture("example-structure-graph")
         g = bm.normalise_graph(bm.reduce_graph(bm.build_graph(es)))
-        _, system, names = bm.translate(g)
+        _, text, names = bm.translate(g)
+        system = bm.parse_bes(text)
         labels = by_label(g)
         assert g.deco[labels["X && Y"]].rank == 2
         assert len(g.ids) == 5
@@ -118,7 +119,7 @@ def test_criterion_5_application_end_to_end(capsys):
         assert len(g.ids) == 12
         quotient, _ = bm.minimize(g)
         assert len(quotient.ids) == 7
-        _, minimised, _ = bm.translate(quotient)
+        minimised = bm.parse_bes(bm.translate(quotient)[1])
         assert len(minimised.equations) == 5
         assert bm.size(minimised) == 14
         assert all(bm.solve_gauss(es).values()) and all(oracle(es).values())
@@ -164,6 +165,7 @@ def test_criterion_6_property_suite(tmp_path):
             _, normalised, node_var = bm.translate(g)
             quotient, block_of = bm.minimize(g)
             _, minimised, block_var = bm.translate(quotient)
+            normalised, minimised = bm.parse_bes(normalised), bm.parse_bes(minimised)
             original = bm.solve_gauss(es)
             renamed = bm.solve_gauss(normalised)
             shrunk = bm.solve_gauss(minimised)

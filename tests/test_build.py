@@ -293,7 +293,8 @@ def test_normalise_unranked_cycle_rejected():
 def test_normalise_pipeline_preserves_solutions():
     es = bm.fixture("example-structure-graph")
     g = bm.normalise_graph(bm.reduce_graph(bm.build_graph(es)))
-    _, system, names = bm.translate(g)
+    _, text, names = bm.translate(g)
+    system = bm.parse_bes(text)
 
     def variables_only(f, op):
         if isinstance(f, Var):

@@ -1,5 +1,6 @@
 """Structure graphs: validation, translation, bisimulation, formats."""
 
+import random
 import time
 from unittest import mock
 
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import besmin as bm
 import besmin.graph
 from besmin import Decoration, Op, StructureGraph
-from conftest import at_recursion_limit, by_label, chain, graph, relabelled
+from conftest import at_recursion_limit, by_label, chain, graph, reference_translate, relabelled
 from test_properties import systems
 
 
@@ -128,7 +129,8 @@ def test_translate_round_trip_on_srf_systems():
     for seed in range(30):
         es = bm.gen_srf_bes(bm.GenConfig(variable_count=5, seed=seed))
         g = bm.build_srf_graph(es)
-        formula, back, names = bm.translate(g)
+        formula, text, names = bm.translate(g)
+        formula, back = bm.parse_formula(formula), bm.parse_bes(text)
         # the initial formula keeps the initial variable's value
         assert bm.eval_formula(formula, bm.solve_gauss(back)) == bm.solve_gauss(es)[
             bm.least_variable(es)
@@ -141,23 +143,24 @@ def test_translate_round_trip_on_srf_systems():
         # translation is stable: one more build/translate round trip is
         # the identity on the equation system
         g2 = bm.build_graph(back, formula)
-        formula2, back2, _ = bm.translate(g2)
-        assert (formula2, back2) == (formula, back)
+        formula2, text2, _ = bm.translate(g2)
+        assert (bm.parse_formula(formula2), bm.parse_bes(text2)) == (formula, back)
 
 
 def test_term_rhs_ordering():
     # reconstruction nests to the right and sorts operands
     es = bm.parse_bes("mu X = AND{Z, Y, X}; mu Y = X; mu Z = X;")
     g = bm.build_srf_graph(es)
-    _, back, names = bm.translate(g)
+    _, text, names = bm.translate(g)
+    back = bm.parse_bes(text)
     (x_rhs,) = (eq.rhs for eq in back if eq.lhs == names[by_label(g)["X"]])
     assert bm.format_formula(x_rhs).count("(") == 1
 
 
-def test_translate_shares_an_unranked_term():
+def _shared_term_graph() -> StructureGraph:
     # the unranked ▲ node a is an operand of the ranked r1, r2 and r3 and of
     # the unranked ▽ node o, next to a constant in r1 and o
-    g = graph(
+    return graph(
         "r1",
         {
             "a": Decoration(Op.AND),
@@ -174,14 +177,131 @@ def test_translate_shares_an_unranked_term():
             ("r3", "a"),
         ],
     )
-    formula, es, names = bm.translate(g)
-    assert formula == bm.Var("X0")
+
+
+def test_translate_orders_constants_first():
+    # true before false before every term, whatever their texts' order
+    g = graph(
+        "r",
+        {"f": Decoration(Op.BOT), "r": Decoration(Op.AND, 0), "t": Decoration(Op.TOP)},
+        [("r", "f"), ("r", "r"), ("r", "t")],
+    )
+    assert bm.translate(g) == ("X0", "nu X0 = true && (false && X0);\n", ["X1", "X0", "X2"])
+
+
+def test_translate_shares_an_unranked_term():
+    formula, text, names = bm.translate(_shared_term_graph())
+    assert bm.parse_formula(formula) == bm.Var("X0")
     assert names == ["X3", "X4", "X5", "X0", "X1", "X2", "X6"]
-    assert bm.print_bes(es) == (
+    assert text == bm.print_bes(bm.parse_bes(text)) == (
         "nu X0 = true || (X0 && X1);\n"
         "mu X1 = false && (X0 && X1 && (true || ((X0 && X1) || X1)));\n"
         "mu X2 = X0 && X1;\n"
     )
+
+
+def _random_graph(seed: int) -> StructureGraph:
+    """A small graph whose ▲/▽ nodes take 1–3 successors; unranked nodes
+    point only to ranked ones and to unranked ones made before them, and
+    one graph in five gets a random extra edge, which may make it not
+    BESsy."""
+    rng = random.Random(seed)
+    ranked, unranked = rng.randint(1, 4), rng.randint(0, 6)
+    positions = list(range(ranked + unranked))
+    rng.shuffle(positions)
+    start, levels = rng.randint(0, 1), rng.randint(1, ranked)
+    ops = [Op.AND, Op.OR, Op.NONE]
+    deco, succ = [None] * len(positions), [set() for _ in positions]
+    for i, u in enumerate(positions[:ranked]):
+        op = rng.choice(ops)
+        deco[u] = Decoration(op, start + i % levels)
+        succ[u].update(rng.sample(positions, 1 if op is Op.NONE else min(len(positions), rng.randint(1, 3))))
+    for i, u in enumerate(positions[ranked:]):
+        op = rng.choice([Op.AND, Op.OR, Op.TOP, Op.BOT, Op.NONE])
+        deco[u] = Decoration(op)
+        if op is Op.AND or op is Op.OR:
+            below = positions[: ranked + i]
+            succ[u].update(rng.sample(below, min(len(below), rng.randint(1, 3))))
+    if rng.random() < 0.2:
+        succ[rng.choice(positions)].add(rng.choice(positions))
+    ids = [f"n{u:02}" for u in range(len(positions))]
+    return StructureGraph(0, deco, [sorted(vs) for vs in succ], ids, ids)
+
+
+def _agrees_with_the_reference(g: StructureGraph) -> None:
+    try:
+        formula, system, names = reference_translate(g)
+    except bm.NotBessyError as exc:
+        with pytest.raises(bm.NotBessyError) as raised:
+            bm.translate(g)
+        assert str(raised.value) == str(exc)
+        return
+    init, text, translated_names = bm.translate(g)
+    assert text == bm.print_bes(system)
+    assert init == bm.format_formula(formula)
+    assert translated_names == names
+    assert _same_system(bm.parse_bes(text), system)
+
+
+def _same_system(es: bm.EquationSystem, other: bm.EquationSystem) -> bool:
+    """``es == other`` without recursing once per level of a formula."""
+    if [(eq.sign, eq.lhs) for eq in es] != [(eq.sign, eq.lhs) for eq in other]:
+        return False
+    pairs = [(eq.rhs, eq2.rhs) for eq, eq2 in zip(es, other)]
+    while pairs:
+        f, h = pairs.pop()
+        if f.__class__ is not h.__class__:
+            return False
+        if isinstance(f, (bm.And, bm.Or)):
+            pairs += (f.left, h.left), (f.right, h.right)
+        elif f != h:
+            return False
+    return True
+
+
+def test_translate_matches_the_reference():
+    # translate composes each node's text from its operands' texts; the
+    # reference builds the formula trees that print_bes then prints
+    graphs = [_random_graph(seed) for seed in range(400)]
+    for n in range(1, 41):
+        for depth in (1, 2, 3):
+            cfg = bm.GenConfig(variable_count=n, max_rhs_depth=depth, constant_probability=0.15, seed=n)
+            g = bm.build_graph(bm.gen_bes(cfg))
+            normalised = bm.normalise_graph(bm.reduce_graph(g))
+            graphs += [g, bm.reduce_graph(g), normalised, bm.minimize(g)[0], bm.minimize(normalised)[0]]
+        g = bm.build_srf_graph(bm.gen_srf_bes(bm.GenConfig(variable_count=n, seed=n)))
+        graphs += [g, bm.minimize(g)[0]]
+    t, f = Decoration(Op.TOP), Decoration(Op.BOT)
+    and_, or_ = Decoration(Op.AND), Decoration(Op.OR)
+    graphs += [
+        _shared_term_graph(),
+        # an unranked operand with the same connective, first and last
+        graph(
+            "r",
+            {"a": and_, "r": Decoration(Op.AND, 0), "s": Decoration(Op.AND, 0), "x": Decoration(Op.NONE, 0)},
+            [("a", "r"), ("a", "s"), ("r", "a"), ("r", "x"), ("s", "a"), ("s", "r"), ("s", "x"), ("x", "x")],
+        ),
+        # two true nodes collapse to one operand, which sorts first
+        graph(
+            "r",
+            {"a": and_, "r": Decoration(Op.OR, 0), "t": t, "u": t},
+            [("a", "t"), ("a", "u"), ("r", "a"), ("r", "r")],
+        ),
+        # a node labelled true && true in a quotient: one successor
+        graph("r", {"a": and_, "r": Decoration(Op.OR, 0), "t": t}, [("a", "t"), ("r", "a"), ("r", "r")]),
+        # nests of constants only
+        graph(
+            "a",
+            {"a": or_, "b": and_, "c": or_, "f": f, "r": Decoration(Op.AND, 1), "t": t},
+            [("a", "b"), ("a", "f"), ("b", "c"), ("b", "t"), ("c", "f"), ("c", "t"), ("r", "a"), ("r", "c")],
+        ),
+    ]
+    hub = "nu H = " + " || ".join(f"X{i}" for i in range(3000)) + ";\n" + chain(3000)
+    g = bm.build_graph(hub)
+    graphs += [g, bm.minimize(g)[0]]
+    assert len(graphs) >= 1000
+    for g in graphs:
+        _agrees_with_the_reference(g)
 
 
 def test_minimize_fixture_counts():

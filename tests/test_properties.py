@@ -141,12 +141,13 @@ def test_srf_conversion_with_set_atoms(es):
 @given(systems())
 @at_recursion_limit
 def test_size_monotone_under_minimisation(es):
-    minimised = bm.pipeline(es).system
+    minimised = bm.parse_bes(bm.pipeline(es).text)
     assert len(minimised.equations) <= len(es.equations)
     assert bm.size(minimised) <= bm.size(es)
     _, normalised, _ = bm.translate(
         bm.normalise_graph(bm.reduce_graph(bm.build_graph(es)))
     )
+    normalised = bm.parse_bes(normalised)
     assert bm.size(minimised) <= bm.size(normalised)
 
 

@@ -186,7 +186,7 @@ def test_gauss_at_sizes_the_oracle_refuses():
     # in 30 s and took 5-10 s on each of the chains
     es = bm.gen_bes(bm.GenConfig(variable_count=100, seed=0))
     m = bm.pipeline(es)
-    solution, minimised = bm.solve_gauss(es), bm.solve_gauss(m.system)
+    solution, minimised = bm.solve_gauss(es), bm.solve_gauss(bm.parse_bes(m.text))
     image = {
         label: m.names[b]
         for d, label, b in zip(m.graph.deco, m.graph.labels, m.block_of)
@@ -235,7 +235,7 @@ def test_gauss_solves_the_printed_minimised_hub():
         + "".join(f"nu X{i} = X{i + 1} && X{i + 1};\n" for i in range(1000))
         + "nu X1000 = false;\n"
     )
-    printed = bm.parse_bes(bm.print_bes(bm.pipeline(hub).system))
+    printed = bm.parse_bes(bm.pipeline(hub).text)
     solution = bm.solve_gauss(printed)
     assert len(solution) == 1002 and not any(solution.values())
     right_nested = bm.parse_formula("X0 || (" * 999 + "X999" + ")" * 999)

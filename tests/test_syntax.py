@@ -130,11 +130,6 @@ def test_records_are_frozen_values():
     assert bm.print_bes(copy.deepcopy(es)) == bm.print_bes(es)
 
 
-def test_formula_key_orders_constants_first():
-    keys = [bm.formula_key(f) for f in (Const(True), Const(False), Var("A"))]
-    assert keys == sorted(keys)
-
-
 def test_syntax_predicates():
     assert bm.is_general_syntax(And(Var("X"), Const(False)))
     assert not bm.is_general_syntax(And(Var("X"), AndSet(frozenset({"Y"}))))
