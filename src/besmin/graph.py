@@ -36,10 +36,17 @@ AND, OR, TOP, BOT, NONE = Op.AND, Op.OR, Op.TOP, Op.BOT, Op.NONE  # bound once, 
 _OP_SYMBOL = {AND: "▲", OR: "▽", TOP: "⊤", BOT: "⊥", NONE: ""}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Decoration:
     op: Op = NONE
     rank: Optional[int] = None
+
+    def __init__(self, op: Op = NONE, rank: Optional[int] = None):
+        _set_op(self, op)
+        _set_rank(self, rank)
+
+
+_set_op, _set_rank = Decoration.op.__set__, Decoration.rank.__set__
 
 
 @dataclass(frozen=True)

@@ -15,22 +15,16 @@ digits, underscores and primes.  "//" starts a line comment.  Chained
 same-operator formulas parse to a left-nested binary AST; parentheses
 are preserved as explicit nesting.
 
-White space is exactly space, tab, CR and LF.  Comments are cut out
-first.  If what is left is ASCII, holds only letters, digits,
-underscores, primes, white space and operator characters, and every "&"
-and "|" is half of an "&&" or "||", ``_padded`` pads the operators with
-spaces by ``str.replace`` and ``str.split`` gives the tokens; the flat
-reader of ``build`` splits the same padded text.  Every other token
-is then a maximal run of letters, digits, underscores and primes: the
-identifier a regular expression would match if it starts with a letter
-or underscore, and a word that fails the parse otherwise.  A text the
-split declines holds an unexpected character outside comments.  A text
-that fails, or is declined, is parsed again on the tokens of a regular
-expression, one match per token or comment, which raises the error with
-its line and column: the regular expression only reports errors.  The
-empty text ends the input.  A token's kind is the token itself for
-keywords and operators, an identifier if it starts with an ASCII letter
-or underscore, and an unexpected character otherwise.
+White space is exactly space, tab, CR and LF.  The parser tokenizes with
+one regular expression, ``_TOKEN_RE``, one match per token or comment;
+comments are dropped.  The empty text ends the input.  A token's kind is
+the token itself for keywords and operators, an identifier if it starts
+with an ASCII letter or underscore, and an unexpected character
+otherwise.  The flat reader of ``build`` does not parse: it splits the
+text ``_padded`` returns, which has its comments cut out and spaces
+around every operator, and which is None unless the text is ASCII, holds
+outside comments only letters, digits, underscores, primes, white space
+and operator characters, and pairs every "&" and "|" into "&&" or "||".
 Formulas are read by one loop that keeps the enclosing disjunction and
 conjunction of every open parenthesis on an explicit stack, so nesting
 depth is bounded by memory, not by Python's recursion limit.  Offsets,
@@ -70,7 +64,7 @@ _IDENTIFIER_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
 _TOKEN_RE = re.compile(_IDENTIFIER_RE.pattern + r"|&&|\|\||//[^\n]*|[^ \t\r\n]")
 
 _COMMENT_RE = re.compile(r"//[^\n]*")
-# what a text may hold, outside comments, to be tokenized by str.split
+# what a text may hold, outside comments, to be split by the flat reader
 _ALLOWED = (string.ascii_letters + string.digits + "_' \t\r\n;=(){},&|").encode()
 
 _KEYWORDS = frozenset({"mu", "nu", "true", "false", "AND", "OR"})
@@ -88,7 +82,9 @@ def _line(text: str, offset: int) -> int:
 
 def _padded(text: str) -> str | None:
     """``text`` without comments and with spaces around every operator, or
-    None to decline it: its words are the tokens."""
+    None to decline it: its words are the tokens of ``_regex_tokens``,
+    except that a word starting with a digit or a prime, which the
+    regular expression splits, stays one word."""
     if "//" in text:
         # every "//" starts a comment for _TOKEN_RE too
         text = _COMMENT_RE.sub("", text)
@@ -103,12 +99,6 @@ def _padded(text: str) -> str | None:
     for operator in ";=(){},":
         text = text.replace(operator, f" {operator} ")
     return text
-
-
-def _tokens(text: str) -> list[str] | None:
-    """The tokens of ``text`` by string methods, or None to decline it."""
-    padded = _padded(text)
-    return None if padded is None else padded.split()
 
 
 def _regex_tokens(text: str) -> list[str]:
@@ -230,17 +220,6 @@ class _Parser:
 
 
 def _parse(text: str, rule):
-    tokens = _tokens(text)
-    if tokens is not None:
-        try:
-            return rule(_Parser(text, tokens))
-        except BesError:
-            pass
-    return _located(text, rule)
-
-
-def _located(text: str, rule):
-    """Parse on ``_TOKEN_RE``'s tokens, whose errors carry their position."""
     parser = _Parser(text, _regex_tokens(text))
     try:
         return rule(parser)

@@ -24,6 +24,7 @@ import besmin.solve
 import besmin.verify
 from besmin.cli import main
 from conftest import at_recursion_limit, chain
+from test_properties import texts
 
 
 def run(capsys, *argv):
@@ -548,6 +549,34 @@ def test_deep_input_fuzz(text):
             outputs[command] = out.getvalue()
         assert outputs[("solve",)] == outputs[("solve", "--method", "oracle")]
         assert outputs[("verify",)] == "PASS: 2 variables verified\n"
+
+
+ROBUST_COMMANDS = (
+    ("check",), ("solve", "--method", "gauss"), ("solve", "--method", "oracle"),
+    ("graph",), ("graph", "--out", "dot"), ("graph", "--normalise"),
+    ("minimize", "--emit", "graph"), ("minimize", "--emit", "bes"), ("verify",),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(texts())
+@at_recursion_limit
+def test_every_command_exits_with_a_code_or_one_error_line(text):
+    # whatever the file holds, no exception leaves main, and stderr is
+    # empty or one error line
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fragments.bes")
+        with open(path, "w", encoding="utf-8", errors="surrogatepass", newline="") as handle:
+            handle.write(text)
+        for command in ROBUST_COMMANDS:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([command[0], path, *command[1:]])
+            assert code in (0, 1, 2, 3), (command, code)
+            lines = err.getvalue().splitlines(keepends=True)
+            assert lines == [] or (
+                len(lines) == 1 and lines[0].startswith("error: ") and lines[0].endswith("\n")
+            ), (command, err.getvalue())
 
 
 # sha256 of stdout; every command exits 0

@@ -1,5 +1,6 @@
 """Structure graphs: validation, translation, bisimulation, formats."""
 
+import dataclasses
 import random
 import time
 from unittest import mock
@@ -12,6 +13,21 @@ import besmin.graph
 from besmin import Decoration, Op, StructureGraph
 from conftest import at_recursion_limit, by_label, chain, graph, reference_translate, relabelled
 from test_properties import systems
+
+
+def test_decoration_is_a_frozen_value():
+    # Decoration fills its slots by hand; it must still behave as a
+    # frozen dataclass
+    a, b = Decoration(Op.AND, 1), Decoration(Op.AND, 1)
+    assert a == b and hash(a) == hash(b) and a is not b
+    assert a != Decoration(Op.OR, 1) and a != Decoration(Op.AND)
+    assert (Decoration().op, Decoration().rank) == (Op.NONE, None)
+    assert Decoration(rank=2) == Decoration(Op.NONE, 2)
+    assert repr(a) == "Decoration(op=<Op.AND: 'and'>, rank=1)"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.rank = 2
+    assert dataclasses.replace(a, rank=2) == Decoration(Op.AND, 2)
+    assert a == Decoration(Op.AND, 1)
 
 
 def test_structure_graph_validation():

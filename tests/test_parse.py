@@ -3,6 +3,7 @@
 import pytest
 
 import besmin as bm
+import besmin.parse
 from besmin import And, AndSet, Const, Or, OrSet, Var
 
 
@@ -210,6 +211,27 @@ def test_parse_error_positions():
         else:
             assert type(exc.value) is bm.ParseError
             assert (exc.value.line, exc.value.column) == (line, column), text
+
+
+def test_a_failing_text_is_parsed_once(monkeypatch):
+    # one tokenizer: an error is reported from the parse that found it
+    built = []
+
+    class Counted(besmin.parse._Parser):
+        def __init__(self, *args):
+            built.append(args[0])
+            super().__init__(*args)
+
+    monkeypatch.setattr(besmin.parse, "_Parser", Counted)
+    for text in ("mu X = X &&;", "mu X = 9X;"):
+        with pytest.raises(bm.ParseError):
+            bm.parse_bes(text)
+        with pytest.raises(bm.ParseError):
+            bm.parse_formula(text)
+    assert bm.parse_bes("mu X = X && Y; nu Y = X;") == bm.parse_bes("mu X = X && Y;\nnu Y = X;")
+    assert built == ["mu X = X &&;"] * 2 + ["mu X = 9X;"] * 2 + [
+        "mu X = X && Y; nu Y = X;", "mu X = X && Y;\nnu Y = X;"
+    ]
 
 
 def test_parse_rejections():
