@@ -31,7 +31,7 @@ from typing import Optional
 
 from .errors import BesError, OpenSystemError, UnrankedCycleError
 from .graph import AND, BOT, NONE, OR, TOP, Decoration, StructureGraph, _Ids, _unranked_order
-from .parse import _IDENTIFIER_RE, _KEYWORDS, _NAME_START, _padded, parse_bes
+from .parse import _KEYWORDS, _NAME_START, _padded, _require_identifiers, parse_bes
 from .syntax import (
     And,
     AndSet,
@@ -80,9 +80,7 @@ def _graph(es: EquationSystem, t: Formula, ops: dict) -> StructureGraph:
     one text hides it.  Constants come first, then the rest by label.
     """
     rank = ranks(es)
-    if not _KEYWORDS.isdisjoint(rank) or not all(map(_IDENTIFIER_RE.fullmatch, rank)):
-        x = next(x for x in rank if x in _KEYWORDS or not _IDENTIFIER_RE.fullmatch(x))
-        raise BesError(f"bound variable {x!r} is not an identifier")
+    _require_identifiers(rank)
     shared: dict = {}  # (class, rank) -> Decoration
     deco: dict = dict(_CONSTANTS)  # key -> Decoration
     succ: dict = {}  # key -> successor keys; () for a constant

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import BesError, NotBessyError
+from .parse import _require_identifiers
 from .syntax import AndSet, EquationSystem, OrSet, is_closed, is_srf, occ, ranks
 
 
@@ -410,6 +411,7 @@ def to_dependency_graph(es: EquationSystem) -> StructureGraph:
     if not is_closed(es):
         raise BesError("dependency graphs are defined for closed systems only")
     rank = ranks(es)
+    _require_identifiers(rank)
     rhs = {eq.lhs: eq.rhs for eq in es}
     names = sorted(rhs)
     position = {x: i for i, x in enumerate(names)}

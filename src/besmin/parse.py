@@ -76,6 +76,14 @@ def _is_name(token: str) -> bool:
     return token[:1] in _NAME_START and token not in _KEYWORDS
 
 
+def _require_identifiers(names) -> None:
+    """Raise a ``BesError`` naming the first of ``names`` the parser would not
+    read as a name: one that is no identifier, or a keyword."""
+    if not _KEYWORDS.isdisjoint(names) or not all(map(_IDENTIFIER_RE.fullmatch, names)):
+        x = next(x for x in names if x in _KEYWORDS or not _IDENTIFIER_RE.fullmatch(x))
+        raise BesError(f"bound variable {x!r} is not an identifier")
+
+
 def _line(text: str, offset: int) -> int:
     return text.count("\n", 0, offset) + 1
 

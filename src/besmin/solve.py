@@ -30,6 +30,7 @@ from .syntax import (
     Or,
     OrSet,
     Var,
+    occ,
     require_closed,
 )
 
@@ -38,7 +39,9 @@ Environment = Mapping[str, bool]
 
 def eval_formula(f: Formula, env: Environment) -> bool:
     # operands are read left to right, as and/or would: a false one decides
-    # a conjunction and a true one a disjunction, else the right one is next
+    # a conjunction and a true one a disjunction, else the right one is next.
+    # The members of a set are read in name order, as they print, so a
+    # partial environment fails at the same name in every process
     waiting = []  # the connectives whose left operand is being read
     try:
         while True:
@@ -52,7 +55,7 @@ def eval_formula(f: Formula, env: Environment) -> bool:
             elif cls is Const:
                 value = f.value
             elif cls is AndSet or cls is OrSet:
-                value = (all if cls is AndSet else any)(env[x] for x in f.members)
+                value = (all if cls is AndSet else any)(env[x] for x in sorted(f.members))
             else:
                 raise TypeError(f"not a formula: {f!r}")
             while waiting and (waiting[-1].__class__ is Or) == value:
@@ -92,23 +95,12 @@ def solve_recursive(es: EquationSystem, env: Environment) -> dict[str, bool]:
     equations = es.equations
     bits = {eq.lhs: 1 << i for i, eq in enumerate(equations)}
     # Bit j stands for X_j, bound by equation j.  needed[i] holds the bits of
-    # the variables bound before i that equations i ... n-1 read.  The walk
-    # dispatches on the class, as ``eval_formula`` does: ``occ``'s isinstance
-    # tests would cost a tenth of a whole solve of three equations.
+    # the variables bound before i that equations i ... n-1 read.
     needed = [0] * len(equations)
     reads = 0
     for i in reversed(range(len(equations))):
-        todo = [equations[i].rhs]
-        while todo:
-            f = todo.pop()
-            cls = f.__class__
-            if cls is And or cls is Or:
-                todo += f.left, f.right
-            elif cls is Var:
-                reads |= bits.get(f.name, 0)
-            elif cls is AndSet or cls is OrSet:
-                for x in f.members:
-                    reads |= bits.get(x, 0)
+        for x in occ(equations[i].rhs):
+            reads |= bits.get(x, 0)
         needed[i] = reads & ((1 << i) - 1)
     solution = dict(env)
     _solve_from(equations, 0, 0, solution, needed, {})

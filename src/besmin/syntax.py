@@ -201,21 +201,18 @@ def bnd(es: EquationSystem) -> set[str]:
 
 
 def occ(item: Union[EquationSystem, Formula]) -> set[str]:
-    if isinstance(item, EquationSystem):
-        stack = [eq.rhs for eq in item]
-    else:
-        stack = [item]
+    stack = [eq.rhs for eq in item] if item.__class__ is EquationSystem else [item]
     result: set[str] = set()
     while stack:
         f = stack.pop()
-        if isinstance(f, Var):
+        cls = f.__class__
+        if cls is Var:
             result.add(f.name)
-        elif isinstance(f, (And, Or)):
-            stack.append(f.left)
-            stack.append(f.right)
-        elif isinstance(f, (AndSet, OrSet)):
+        elif cls is And or cls is Or:
+            stack += f.left, f.right
+        elif cls is AndSet or cls is OrSet:
             result.update(f.members)
-        elif not isinstance(f, Const):
+        elif cls is not Const:
             raise TypeError(f"not a formula or system: {f!r}")
     return result
 

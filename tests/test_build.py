@@ -74,7 +74,8 @@ def test_build_graph_with_formula():
 
 def test_bound_names_must_be_identifiers():
     # a name that is no identifier, or a keyword, could be the text of
-    # another node; both builders refuse it, wherever it is bound
+    # another node; both builders and the dependency graph refuse it,
+    # wherever it is bound
     MU, NU = bm.Fixpoint.MU, bm.Fixpoint.NU
     bad = ["a && b", "true", "false", "mu", "AND", "9X", "'X", "X Y", "", "é", "X\n"]
     for name in bad:
@@ -82,7 +83,7 @@ def test_bound_names_must_be_identifiers():
             bm.system(bm.Equation(NU, name, Var(name))),
             bm.system(bm.Equation(NU, "X", Var(name)), bm.Equation(MU, name, Var("X"))),
         ):
-            for build in (bm.build_graph, bm.build_srf_graph):
+            for build in (bm.build_graph, bm.build_srf_graph, bm.to_dependency_graph):
                 with pytest.raises(bm.BesError, match=f"^bound variable {re.escape(repr(name))} "):
                     build(es)
     # names that would make a variable, a constant and a subterm share a text
@@ -115,7 +116,7 @@ def test_bound_names_must_be_identifiers():
     # identifiers that hold a keyword, a digit or a prime are names
     good = ["X'", "_a", "Xtrue", "false_", "a9"]
     es = bm.system(*(bm.Equation(NU, x, Var(y)) for x, y in zip(good, good[1:] + good[:1])))
-    for build in (bm.build_graph, bm.build_srf_graph):
+    for build in (bm.build_graph, bm.build_srf_graph, bm.to_dependency_graph):
         assert build(es).labels == sorted(good)
 
 

@@ -161,6 +161,23 @@ def test_oracle_reads_a_partial_environment_only_where_it_must():
         bm.solve_recursive(bm.parse_bes("mu X = Z && false;"), {})
 
 
+def test_oracle_reads_set_members_in_name_order():
+    # a set is read in the order it prints, not in its hash order, so which
+    # missing member fails is the same in every process
+    es = bm.parse_bes("mu X = AND{" + ",".join(f"A{i:02}" for i in range(50)) + "};")
+    assert bm.solve_recursive(es, {"A00": False}) == {"A00": False, "X": False}
+    with pytest.raises(bm.BesError, match="^variable A00 is outside the environment domain$"):
+        bm.solve_recursive(es, {"A49": False})
+
+
+def test_solvers_refuse_a_right_hand_side_that_is_not_a_formula():
+    es = bm.system(bm.Equation(bm.Fixpoint.NU, "X", bm.Or(bm.Const(True), "junk")))
+    with pytest.raises(TypeError, match="^not a formula or system: 'junk'$"):
+        bm.solve_recursive(es, {})
+    with pytest.raises(TypeError, match="^not a formula or system: 'junk'$"):
+        bm.solve_gauss(es)
+
+
 def test_verify_a_chain_in_well_under_a_second():
     # a memo keyed on the whole environment re-solved each link at every
     # occurrence: verify took 61 s on 20 links
