@@ -361,27 +361,25 @@ def minimize(g: StructureGraph) -> tuple[StructureGraph, list[int]]:
     Returns the quotient graph and ``block_of``, the block position of each
     node.  Blocks are numbered by their first member, as ``_refine``
     numbers them, so each block carries its first member's decoration and
-    label, and block ``b`` is named ``b{b}``.
+    label, and block ``b`` is named ``b{b}``.  The same pass checks that
+    the block mapping is a functional bisimulation: each later member of a
+    block must have its first member's decoration and successor blocks.
+    A mismatch raises ``AssertionError`` by hand, so ``python -O`` keeps it.
     """
     block_of = _refine(g.succ, g.deco)
-    first: list[int] = []  # the first member of each block
-    for u, b in enumerate(block_of):
-        if b == len(first):
-            first.append(u)
-    images = [{block_of[v] for v in vs} for vs in g.succ]  # successor blocks
-    quotient = StructureGraph(
-        block_of[g.init],
-        [g.deco[u] for u in first],
-        [sorted(images[u]) for u in first],
-        [g.labels[u] for u in first],
-        _Ids("b", len(first)),
-    )
-    # the mapping is a functional bisimulation: it keeps every node's
-    # decoration and maps its successors onto its block's successors
-    assert all(
-        (d is g.deco[u] or d == g.deco[u]) and image == images[u]
-        for d, image, u in zip(g.deco, images, map(first.__getitem__, block_of))
-    ), "the block mapping must be a functional bisimulation"
+    deco: list[Decoration] = []  # per block, its first member's decoration,
+    images: list[set[int]] = []  # the blocks of that member's successors
+    labels: list[str] = []  # and its label
+    for b, d, vs, label in zip(block_of, g.deco, g.succ, g.labels):
+        image = {block_of[v] for v in vs}
+        if b == len(deco):
+            deco.append(d)
+            images.append(image)
+            labels.append(label)
+        elif not (deco[b] is d or deco[b] == d) or images[b] != image:
+            raise AssertionError("the block mapping must be a functional bisimulation")
+    succ = list(map(sorted, images))
+    quotient = StructureGraph(block_of[g.init], deco, succ, labels, _Ids("b", len(deco)))
     return quotient, block_of
 
 

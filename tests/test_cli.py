@@ -262,6 +262,16 @@ def test_flat_text_is_read_without_the_parser_to_the_same_output(tmp_path, capsy
     for text, code, error in (
         ("nu X = X &&;\n", 1, "error: line 1, column 12: expected a formula, got ';'\n"),
         ("nu X = Y && X;\n", 2, "error: system is open; unbound: Y\n"),
+        (
+            "nu X = Y;\nnu Y = X;\nmu X = Y;\n",
+            1,
+            "error: variable X is bound by more than one equation (line 3)\n",
+        ),
+        (
+            "nu X = Y;\nxx Y = X;\n",
+            1,
+            "error: line 2, column 1: expected 'mu' or 'nu', got 'xx'\n",
+        ),
     ):
         flat.write_text(text)
         for command in commands:

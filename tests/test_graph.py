@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+import sys
 import time
 from unittest import mock
 
@@ -12,6 +13,7 @@ import besmin as bm
 import besmin.graph
 from besmin import Decoration, Op, StructureGraph
 from conftest import at_recursion_limit, by_label, chain, graph, reference_translate, relabelled
+from test_cli import _run_command
 from test_properties import systems
 
 
@@ -365,6 +367,26 @@ def test_minimize_checks_its_block_mapping(monkeypatch):
     monkeypatch.setattr(besmin.graph, "_refine", lambda succs, keys: wrong)
     with pytest.raises(AssertionError):
         bm.minimize(g)
+
+
+def test_minimize_checks_its_block_mapping_under_python_O(tmp_path):
+    # python -O strips assert statements; the check must survive it
+    script = (
+        "import sys\n"
+        "import besmin as bm\n"
+        "import besmin.graph\n"
+        "def decoration_blocks(succs, keys):\n"
+        "    ids = {}\n"
+        "    return [ids.setdefault(key, len(ids)) for key in keys]\n"
+        "besmin.graph._refine = decoration_blocks\n"
+        "try:\n"
+        "    bm.minimize(bm.build_graph(bm.fixture('paper-application')))\n"
+        "except AssertionError as error:\n"
+        "    print(sys.flags.optimize, error)\n"
+    )
+    result = _run_command([sys.executable, "-O", "-c", script], tmp_path)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout == "1 the block mapping must be a functional bisimulation\n"
 
 
 def _naive_refine(succs, keys):

@@ -82,6 +82,7 @@ ERRORS = [
         11,
     ),
     (bm.parse_bes, "mu X = Y", "line 1, column 9: expected ';', got 'end of input'", 1, 9),
+    (bm.parse_bes, "mu X Y;", "line 1, column 6: expected '=', got 'Y'", 1, 6),
     (
         bm.parse_formula,
         "X && Y )",

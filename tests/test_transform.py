@@ -65,6 +65,14 @@ def test_to_srf_names_and_order_are_pinned():
         "nu TRUE_1 = OR{TRUE,TRUE_2};\n"
         "nu TRUE_2 = TRUE_2;\n"
     )
+    # a fresh name skips one that an equation already binds
+    srf = bm.to_srf(bm.parse_bes("mu X = X && (X || Y); nu X_1 = X; nu Y = Y;"))
+    assert bm.print_bes(srf) == (
+        "mu X = AND{X,X_2};\n"
+        "mu X_2 = OR{X,Y};\n"
+        "nu X_1 = X;\n"
+        "nu Y = Y;\n"
+    )
 
 
 def test_to_srf_preserves_solutions():
