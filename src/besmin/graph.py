@@ -15,7 +15,7 @@ import re
 from collections import defaultdict
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import BesError, NotBessyError
 from .parse import _require_identifiers
@@ -37,17 +37,9 @@ AND, OR, TOP, BOT, NONE = Op.AND, Op.OR, Op.TOP, Op.BOT, Op.NONE  # bound once, 
 _OP_SYMBOL = {AND: "▲", OR: "▽", TOP: "⊤", BOT: "⊥", NONE: ""}
 
 
-@dataclass(frozen=True, slots=True)
-class Decoration:
+class Decoration(NamedTuple):  # a tuple: hashed and compared in C
     op: Op = NONE
     rank: Optional[int] = None
-
-    def __init__(self, op: Op = NONE, rank: Optional[int] = None):
-        _set_op(self, op)
-        _set_rank(self, rank)
-
-
-_set_op, _set_rank = Decoration.op.__set__, Decoration.rank.__set__
 
 
 @dataclass(frozen=True)
@@ -304,15 +296,11 @@ def _refine(succs: list[list[int]], keys: list) -> list[int]:
     for u, vs in enumerate(succs):
         for v in vs:
             preds[v].append(u)
-    # number the keys by equality, hashing each distinct key object once:
-    # a built graph shares one Decoration among the nodes of one kind
-    objects = dict(zip(map(id, keys), keys))  # id of a key -> the key
-    classes: dict = {}
-    number = {i: classes.setdefault(key, len(classes)) for i, key in objects.items()}
-    block = list(map(number.__getitem__, map(id, keys)))
+    number = {key: b for b, key in enumerate(dict.fromkeys(keys))}
+    block = list(map(number.__getitem__, keys))
     # members[b] holds the members of block b and may hold nodes that have
     # left it; size[b] counts only the members
-    members: list[list[int]] = [[] for _ in classes]
+    members: list[list[int]] = [[] for _ in number]
     for u, b in enumerate(block):
         members[b].append(u)
     size = list(map(len, members))
@@ -376,7 +364,7 @@ def minimize(g: StructureGraph) -> tuple[StructureGraph, list[int]]:
             deco.append(d)
             images.append(image)
             labels.append(label)
-        elif not (deco[b] is d or deco[b] == d) or images[b] != image:
+        elif deco[b] != d or images[b] != image:
             raise AssertionError("the block mapping must be a functional bisimulation")
     succ = list(map(sorted, images))
     quotient = StructureGraph(block_of[g.init], deco, succ, labels, _Ids("b", len(deco)))

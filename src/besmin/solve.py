@@ -170,6 +170,10 @@ def solve_gauss(es: EquationSystem) -> dict[str, bool]:
             return a
         if b == 1 - op or a == op or a == b:
             return b
+        if nodes[b] and nodes[b][0] == op and a in nodes[b][1:]:  # a op (a op c)
+            return b
+        if nodes[a] and nodes[a][0] == op and b in nodes[a][1:]:  # (b op c) op b
+            return a
         u = table.setdefault((op, a, b), len(nodes))
         if u == len(nodes):
             nodes.append((op, a, b))
@@ -189,8 +193,8 @@ def solve_gauss(es: EquationSystem) -> dict[str, bool]:
                 done.append(index[f.name])
             elif cls is Const:
                 done.append(int(f.value))
-            elif cls is AndSet or cls is OrSet:  # the chain of its members
-                done += sorted(index[x] for x in f.members)
+            elif cls is AndSet or cls is OrSet:  # its members, highest outermost
+                done += sorted((index[x] for x in f.members), reverse=True)
                 todo += [int(cls is AndSet)] * (len(f.members) - 1)
             else:
                 raise TypeError(f"not a formula: {f!r}")

@@ -1,6 +1,5 @@
 """Structure graphs: validation, translation, bisimulation, formats."""
 
-import dataclasses
 import random
 import sys
 import time
@@ -18,17 +17,17 @@ from test_properties import systems
 
 
 def test_decoration_is_a_frozen_value():
-    # Decoration fills its slots by hand; it must still behave as a
-    # frozen dataclass
+    # Decoration is a named tuple: equal to the plain tuple (op, rank)
     a, b = Decoration(Op.AND, 1), Decoration(Op.AND, 1)
     assert a == b and hash(a) == hash(b) and a is not b
+    assert a == (Op.AND, 1) and hash(a) == hash((Op.AND, 1))
     assert a != Decoration(Op.OR, 1) and a != Decoration(Op.AND)
     assert (Decoration().op, Decoration().rank) == (Op.NONE, None)
     assert Decoration(rank=2) == Decoration(Op.NONE, 2)
     assert repr(a) == "Decoration(op=<Op.AND: 'and'>, rank=1)"
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         a.rank = 2
-    assert dataclasses.replace(a, rank=2) == Decoration(Op.AND, 2)
+    assert a._replace(rank=2) == Decoration(Op.AND, 2)
     assert a == Decoration(Op.AND, 1)
 
 
@@ -58,6 +57,7 @@ def test_generated_ids_are_the_list_of_zero_padded_numbers(n):
     assert list(ids) == expected and ids[-1] == expected[-1]
     assert all(a < b for a, b in zip(ids, ids[1:]))
     assert besmin.graph._Ids("b", 0) == []
+    assert repr(besmin.graph._Ids("n", 3)) == "['n0', 'n1', 'n2']"
 
 
 @pytest.mark.parametrize(
@@ -415,9 +415,13 @@ def refinement_inputs(draw):
         hub = draw(nodes)
         succs = [vs if u == hub else sorted({*vs, hub}) for u, vs in enumerate(succs)]
     # enough keys that blocks of one member, which are never re-signed, are
-    # common, or a single key
+    # common, or a single key; or a fresh Decoration per node from a few
+    # ranks: equal values in distinct objects, as the builders decorate a
+    # Var and a Const right-hand side of one rank
     alphabet = draw(st.sampled_from(["abcdefgh", "a"]))
-    keys = draw(st.lists(st.sampled_from(alphabet), min_size=n, max_size=n))
+    letters = st.sampled_from(alphabet)
+    decorations = st.builds(Decoration, st.just(Op.NONE), st.integers(0, 2))
+    keys = draw(st.lists(draw(st.sampled_from([letters, decorations])), min_size=n, max_size=n))
     return succs, keys
 
 
