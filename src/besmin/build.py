@@ -12,11 +12,11 @@ identifier, as the parser does, so a node's label, its variable's name or
 its term's canonical text, is unique in the graph and is its key.
 ``build_graph`` also takes a system's text.  If the text is flat, every
 right-hand side one atom or a chain of atoms joined by one connective,
-with no "(" or "{" anywhere, its graph has no subterm nodes and is read
-without building formula trees: the left-hand sides are numbered first,
-in label order after the constants, and then each equation, split once,
-fills its variable's position in the graph's columns.  That reader
-never raises: it declines any other text, which is parsed and built as a
+its graph has no subterm nodes and is read without building formula
+trees: the text is split as written, the left-hand sides are numbered
+first, in label order after the constants, and then each equation fills
+its variable's position in the graph's columns.  That reader never
+raises: it declines any other text, which is parsed and built as a
 system, so every error comes from the parser or the tree path.
 ``reduce_graph`` eliminates constant nodes and ``normalise_graph`` ranks
 the remaining unranked nodes, after which the graph translates back into
@@ -25,13 +25,15 @@ an equation system in SRF.
 
 from __future__ import annotations
 
+import re
+import string
 from itertools import chain
 from operator import itemgetter
 from typing import Optional
 
 from .errors import BesError, OpenSystemError, UnrankedCycleError
 from .graph import AND, BOT, NONE, OR, TOP, Decoration, StructureGraph, _Ids, _unranked_order
-from .parse import _KEYWORDS, _NAME_START, _padded, _require_identifiers, parse_bes
+from .parse import _KEYWORDS, _NAME_START, _require_identifiers, parse_bes
 from .syntax import (
     And,
     AndSet,
@@ -63,6 +65,9 @@ _GENERAL_OPS = {And: AND, Or: OR, Var: NONE, Const: NONE}
 _SRF_OPS = {AndSet: AND, OrSet: OR, Var: NONE}
 # the operator of a chain of atoms, in a flat system's text ("" for one atom)
 _SEPARATORS = {"": NONE, "&&": AND, "||": OR}
+_COMMENT_RE = re.compile(r"//[^\n]*")
+# what a flat system's text may hold outside comments
+_FLAT_CHARACTERS = (string.ascii_letters + string.digits + "_' \t\r\n;=&|").encode()
 
 
 def _graph(es: EquationSystem, t: Formula, ops: dict) -> StructureGraph:
@@ -145,34 +150,38 @@ def _flat_graph(text: str) -> Optional[StructureGraph]:
     a constant, or a chain of atoms joined by one connective.  Its graph
     has no subterm nodes: each variable's successors are its atoms, once
     each, and its decoration is the chain's operator (none for one atom)
-    at its rank.  The left-hand sides are the names: sorted, after the
-    constants that occur as words, they are the labels, so every node has
-    its position before an equation is read.  Each equation then fills its
-    variable's position in the columns.  Any text with a "(" or a "{" is
-    declined before it is padded, and so is every text the parser would
-    reject or that is not closed, so this never raises.
+    at its rank.  The text, its comments cut, is split as written, at ";"
+    and then at white space.  The sign, "=", each separator and each atom
+    are checked where they are read, and no name may hold "=", "&" or "|".
+    Sorted, after the constants that occur as words, the names are the
+    labels, so every node has its position before an equation fills it.
+    A text with a "(", or with a character no flat system holds, is
+    declined at once, and so is every text the parser would reject or
+    that is not closed, so this never raises.
     """
-    padded = None if "(" in text or "{" in text else _padded(text)
-    if padded is None:
+    if "(" in text:
         return None
-    *equations, tail = padded.split(";")
-    # each equation's words: "mu" or "nu", a name, "=", and the atoms with
-    # a separator between each two
+    if "//" in text:
+        # every "//" starts a comment for the parser too
+        text = _COMMENT_RE.sub("", text)
+    # isascii first: str.encode refuses a lone surrogate
+    if not text.isascii() or text.encode().translate(None, _FLAT_CHARACTERS):
+        return None
+    *equations, tail = text.split(";")
     rows = [equation.split() for equation in equations]
     if not rows or min(map(len, rows)) < 4 or tail.strip():
         return None
     names = sorted(map(itemgetter(1), rows))
-    # a word that is no name starts with a digit, a prime or an operator;
-    # the digits, the prime and "&&", "=" and "," sort before every name,
-    # "||" and "}" after: the first and the last word tell
-    if (
-        names[0][0] not in _NAME_START
-        or names[-1][0] not in _NAME_START
-        or not _KEYWORDS.isdisjoint(names)
-    ):
+    # with no "=", "&" or "|", a name is letters, digits, "_" and "'"; the
+    # digits and the prime sort before every letter and "_", so the first
+    # name's first character tells whether all are identifiers
+    joined = "".join(names)
+    if "=" in joined or "&" in joined or "|" in joined or names[0][0] not in _NAME_START:
+        return None
+    if not _KEYWORDS.isdisjoint(names):
         return None
     # "true" or "false" inside a name is no constant
-    labels = [c for c in _CONSTANTS if c in padded and c in chain.from_iterable(rows)]
+    labels = [c for c in _CONSTANTS if c in text and c in chain.from_iterable(rows)]
     deco = [_CONSTANTS[label] for label in labels] + [None] * len(names)
     succ = [[] for _ in labels] + [None] * len(names)
     labels += names

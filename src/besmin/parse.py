@@ -20,18 +20,14 @@ one regular expression, ``_TOKEN_RE``, one match per token or comment;
 comments are dropped.  The empty text ends the input.  A token's kind is
 the token itself for keywords and operators, an identifier if it starts
 with an ASCII letter or underscore, and an unexpected character
-otherwise.  The flat reader of ``build`` does not parse: it splits the
-text ``_padded`` returns, which has its comments cut out and spaces
-around every operator, and which is None unless the text is ASCII, holds
-outside comments only letters, digits, underscores, primes, white space
-and operator characters, and pairs every "&" and "|" into "&&" or "||".
-Formulas are read by one loop that keeps the enclosing disjunction and
-conjunction of every open parenthesis on an explicit stack, so nesting
-depth is bounded by memory, not by Python's recursion limit.  Offsets,
-lines and columns are computed only when an error is reported, by
-scanning the text again; an unexpected character is reported before any
-other error, wherever it is.  Constants are the shared ``TRUE``/``FALSE``
-and every name gets one shared ``Var``, each found by one lookup.
+otherwise.  Formulas are read by one loop that keeps the enclosing
+disjunction and conjunction of every open parenthesis on an explicit
+stack, so nesting depth is bounded by memory, not by Python's recursion
+limit.  Offsets, lines and columns are computed only when an error is
+reported, by scanning the text again; an unexpected character is
+reported before any other error, wherever it is.  Constants are the
+shared ``TRUE``/``FALSE`` and every name gets one shared ``Var``, each
+found by one lookup.
 """
 
 from __future__ import annotations
@@ -63,10 +59,6 @@ _IDENTIFIER_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
 # unexpected character
 _TOKEN_RE = re.compile(_IDENTIFIER_RE.pattern + r"|&&|\|\||//[^\n]*|[^ \t\r\n]")
 
-_COMMENT_RE = re.compile(r"//[^\n]*")
-# what a text may hold, outside comments, to be split by the flat reader
-_ALLOWED = (string.ascii_letters + string.digits + "_' \t\r\n;=(){},&|").encode()
-
 _KEYWORDS = frozenset({"mu", "nu", "true", "false", "AND", "OR"})
 _OPERATORS = frozenset({"&&", "||", "=", ";", "(", ")", "{", "}", ",", ""})
 _NAME_START = frozenset(string.ascii_letters + "_")
@@ -86,27 +78,6 @@ def _require_identifiers(names) -> None:
 
 def _line(text: str, offset: int) -> int:
     return text.count("\n", 0, offset) + 1
-
-
-def _padded(text: str) -> str | None:
-    """``text`` without comments and with spaces around every operator, or
-    None to decline it: its words are the tokens of ``_regex_tokens``,
-    except that a word starting with a digit or a prime, which the
-    regular expression splits, stays one word."""
-    if "//" in text:
-        # every "//" starts a comment for _TOKEN_RE too
-        text = _COMMENT_RE.sub("", text)
-    # isascii first: str.encode refuses a lone surrogate
-    if not text.isascii() or text.encode().translate(None, _ALLOWED):
-        return None
-    for pair in ("&&", "||"):
-        if pair[0] in text:
-            if text.count(pair[0]) != 2 * text.count(pair):
-                return None
-            text = text.replace(pair, f" {pair} ")
-    for operator in ";=(){},":
-        text = text.replace(operator, f" {operator} ")
-    return text
 
 
 def _regex_tokens(text: str) -> list[str]:

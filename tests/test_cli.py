@@ -258,6 +258,15 @@ def test_flat_text_is_read_without_the_parser_to_the_same_output(tmp_path, capsy
     with mock.patch("besmin.build.parse_bes", side_effect=AssertionError("parsed")):
         for command, result in zip(commands, expected):
             assert result[0] == 0 and run(capsys, *command, str(flat)) == result, command
+    # with operators that touch the names, the reader declines the ring, which
+    # is parsed to the same output
+    glued = tmp_path / "glued.bes"
+    text = flat.read_text()
+    glued.write_text(text.replace(" = ", "=").replace(" || ", "||").replace(" && ", "&&"))
+    with mock.patch("besmin.build.parse_bes", wraps=bm.parse_bes) as parse:
+        for command, result in zip(commands, expected):
+            assert run(capsys, *command, str(glued)) == result, command
+    assert parse.call_count == len(commands)
     # what the reader declines is parsed and built, and fails as it did
     for text, code, error in (
         ("nu X = X &&;\n", 1, "error: line 1, column 12: expected a formula, got ';'\n"),
@@ -272,6 +281,10 @@ def test_flat_text_is_read_without_the_parser_to_the_same_output(tmp_path, capsy
             1,
             "error: line 2, column 1: expected 'mu' or 'nu', got 'xx'\n",
         ),
+        # operators glued into a left-hand side
+        ("nu X&&X = true;\n", 1, "error: line 1, column 5: expected '=', got '&&'\n"),
+        ("nu X||X = true;\n", 1, "error: line 1, column 5: expected '=', got '||'\n"),
+        ("nu X= = true;\n", 1, "error: line 1, column 7: expected a formula, got '='\n"),
     ):
         flat.write_text(text)
         for command in commands:
