@@ -11,8 +11,9 @@ substitutes forward, on a hash-consed table of integer nodes: 0 is false,
 1 is true, 2 + i is X_i, bound by equation i, and connectives ``(op, left,
 right)``, op 1 for a conjunction.  Substituting for X_i reads only the
 right-hand sides, and rebuilds only the nodes, whose ``top``, the greatest
-i they mention, is i.  Sets and right-nested blocks load their highest
-operand outermost.  No formula walk recurses.
+i they mention, is i.  Each block of one connective, nested either way,
+and each set load their highest operand outermost.  No formula walk
+recurses.
 """
 
 from __future__ import annotations
@@ -181,36 +182,32 @@ def solve_gauss(es: EquationSystem) -> dict[str, bool]:
             top.append(max(top[a], top[b]))
         return u
 
-    def load(f: Formula) -> int:  # a post-order loop, operands left to right
+    def load(f: Formula) -> int:  # a post-order loop
         todo, done = [f], []
         while todo:
             f = todo.pop()
             cls = f.__class__
-            if cls is And or cls is Or:
-                if f.right.__class__ is not cls:
-                    todo += int(cls is And), f.right, f.left
-                else:  # a right-nested block of one connective, read as a set
-                    todo.append((int(cls is And), len(done)))
-                    stack = [f]
-                    while stack:  # its operands, the leftmost on top of todo
-                        g = stack.pop()
-                        if g.__class__ is cls:
-                            stack += g.left, g.right
-                        else:
-                            todo.append(g)
-            elif cls is int:  # the op of a connective whose operands are done
-                done[-2:] = [make(f, *done[-2:])]
+            if cls is And or cls is Or:  # its whole block of one connective, as a set
+                todo.append((int(cls is And), len(done)))
+                stack = [f.left, f.right]
+                while stack:  # its operands, in any order: the fold sorts them
+                    g = stack.pop()
+                    if g.__class__ is cls:
+                        stack += g.left, g.right
+                    elif g.__class__ is Var:
+                        done.append(index[g.name])
+                    else:
+                        todo.append(g)
+            elif cls is tuple:  # (op, start): done[start:], folded highest top outermost
+                op, start = f
+                u = op  # the connective's unit: true for a conjunction, false for a disjunction
+                for v in sorted(done[start:], key=top.__getitem__):
+                    u = make(op, v, u)
+                done[start:] = [u]
             elif cls is Var:
                 done.append(index[f.name])
             elif cls is Const:
                 done.append(int(f.value))
-            elif cls is tuple:  # (op, start): done[start:], folded highest top outermost
-                op, start = f
-                u, *block = sorted(done[start:], key=top.__getitem__)
-                del done[start:]
-                for v in block:
-                    u = make(op, v, u)
-                done.append(u)
             else:  # a set, folded as a block of its members
                 todo.append((int(cls is AndSet), len(done)))
                 done += map(index.__getitem__, f.members)
