@@ -6,6 +6,7 @@ from .build import (
     build_srf_graph,
     normalise_graph,
     reduce_graph,
+    to_dependency_graph,
 )
 from .errors import (
     BesError,
@@ -26,7 +27,6 @@ from .graph import (
     minimize,
     parse_graph,
     serialize_graph,
-    to_dependency_graph,
     to_dot,
     translate,
 )

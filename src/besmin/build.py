@@ -16,16 +16,19 @@ its graph has no subterm nodes and is read without building formula
 trees: the text is split as written, the left-hand sides are numbered
 first, in label order after the constants, and then each equation fills
 its variable's position in the graph's columns.  That reader never
-raises: it declines any other text, which is parsed and built as a
-system, so every error comes from the parser or the tree path.
-``reduce_graph`` eliminates constant nodes and ``normalise_graph`` ranks
-the remaining unranked nodes, after which the graph translates back into
-an equation system in SRF.
+raises: it declines a text with a character outside ``_FLAT_CHARACTERS``,
+such as "(" or a comment's "/", at once, and any other text that is not
+flat, which is parsed and built as a system, so every error comes from
+the parser or the tree path.  ``to_dependency_graph`` reads a closed SRF
+system's dependency graph on its own, as the reference that
+``build_srf_graph`` is checked against.  ``reduce_graph`` eliminates
+constant nodes and ``normalise_graph`` ranks the remaining unranked
+nodes, after which the graph translates back into an equation system in
+SRF.
 """
 
 from __future__ import annotations
 
-import re
 import string
 from itertools import chain
 from operator import itemgetter
@@ -33,7 +36,7 @@ from typing import Optional
 
 from .errors import BesError, OpenSystemError, UnrankedCycleError
 from .graph import AND, BOT, NONE, OR, TOP, Decoration, StructureGraph, _Ids, _unranked_order
-from .parse import _KEYWORDS, _NAME_START, _require_identifiers, parse_bes
+from .parse import _IDENTIFIER_RE, _KEYWORDS, _NAME_START, parse_bes
 from .syntax import (
     And,
     AndSet,
@@ -45,6 +48,7 @@ from .syntax import (
     Var,
     bnd,
     format_formula,
+    is_closed,
     is_general_syntax,
     is_srf,
     least_variable,
@@ -52,6 +56,14 @@ from .syntax import (
     ranks,
     require_closed,
 )
+
+
+def _require_identifiers(names) -> None:
+    """Raise a ``BesError`` naming the first of ``names`` the parser would not
+    read as a name: one that is no identifier, or a keyword."""
+    if not _KEYWORDS.isdisjoint(names) or not all(map(_IDENTIFIER_RE.fullmatch, names)):
+        x = next(x for x in names if x in _KEYWORDS or not _IDENTIFIER_RE.fullmatch(x))
+        raise BesError(f"bound variable {x!r} is not an identifier")
 
 
 def _require_nonempty(es: EquationSystem) -> None:
@@ -65,8 +77,7 @@ _GENERAL_OPS = {And: AND, Or: OR, Var: NONE, Const: NONE}
 _SRF_OPS = {AndSet: AND, OrSet: OR, Var: NONE}
 # the operator of a chain of atoms, in a flat system's text ("" for one atom)
 _SEPARATORS = {"": NONE, "&&": AND, "||": OR}
-_COMMENT_RE = re.compile(r"//[^\n]*")
-# what a flat system's text may hold outside comments
+# what a flat system's text may hold
 _FLAT_CHARACTERS = (string.ascii_letters + string.digits + "_' \t\r\n;=&|").encode()
 
 
@@ -150,20 +161,15 @@ def _flat_graph(text: str) -> Optional[StructureGraph]:
     a constant, or a chain of atoms joined by one connective.  Its graph
     has no subterm nodes: each variable's successors are its atoms, once
     each, and its decoration is the chain's operator (none for one atom)
-    at its rank.  The text, its comments cut, is split as written, at ";"
-    and then at white space.  The sign, "=", each separator and each atom
-    are checked where they are read, and no name may hold "=", "&" or "|".
-    Sorted, after the constants that occur as words, the names are the
-    labels, so every node has its position before an equation fills it.
-    A text with a "(", or with a character no flat system holds, is
-    declined at once, and so is every text the parser would reject or
-    that is not closed, so this never raises.
+    at its rank.  The text is split as written, at ";" and then at white
+    space.  The sign, "=", each separator and each atom are checked where
+    they are read, and no name may hold "=", "&" or "|".  Sorted, after the
+    constants that occur as words, the names are the labels, so every node
+    has its position before an equation fills it.  A text with any
+    character outside ``_FLAT_CHARACTERS``, such as "(" or the "/" of a
+    comment, is declined at once, and so is every text the parser would
+    reject or that is not closed, so this never raises.
     """
-    if "(" in text:
-        return None
-    if "//" in text:
-        # every "//" starts a comment for the parser too
-        text = _COMMENT_RE.sub("", text)
     # isascii first: str.encode refuses a lone surrogate
     if not text.isascii() or text.encode().translate(None, _FLAT_CHARACTERS):
         return None
@@ -272,6 +278,34 @@ def build_srf_graph(es: EquationSystem, t: Optional[Formula] = None) -> Structur
         raise BesError("formula is not in SRF syntax")
     _require_bound(es, t)
     return _graph(es, t, _SRF_OPS)
+
+
+# ---------------------------------------------------------------------------
+# Dependency graphs for systems in SRF
+
+
+def to_dependency_graph(es: EquationSystem) -> StructureGraph:
+    """The dependency graph of a closed SRF system, as a structure graph.
+
+    One node per variable, in name order, labelled by it and decorated with
+    its right-hand side's connective and its rank; the initial node is the
+    first variable.
+    """
+    if not es.equations:
+        raise BesError("dependency graph of an empty system is undefined")
+    if not is_srf(es):
+        raise BesError("dependency graphs are defined for systems in SRF only")
+    if not is_closed(es):
+        raise BesError("dependency graphs are defined for closed systems only")
+    rank = ranks(es)
+    _require_identifiers(rank)
+    rhs = {eq.lhs: eq.rhs for eq in es}
+    names = sorted(rhs)
+    position = {x: i for i, x in enumerate(names)}
+    connective = {AndSet: AND, OrSet: OR}
+    deco = [Decoration(connective.get(rhs[x].__class__, NONE), rank[x]) for x in names]
+    succ = [sorted(position[y] for y in occ(rhs[x])) for x in names]
+    return StructureGraph(position[es.equations[0].lhs], deco, succ, names, names)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ columns ``deco`` (an operator symbol and at most one rank), ``succ`` (its
 successor positions, sorted), ``labels`` (a human-readable term) and
 ``ids`` (its name in the text formats), and the nodes are stored in
 increasing id order.  Graphs translatable back into equation systems
-satisfy five structural constraints; see ``is_bessy``.
+satisfy five structural constraints; see ``is_bessy``.  A system's
+structure and dependency graphs are built in ``build``.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .errors import BesError, NotBessyError
-from .parse import _require_identifiers
-from .syntax import AndSet, EquationSystem, OrSet, is_closed, is_srf, occ, ranks
 
 
 class Op(enum.Enum):
@@ -380,34 +379,6 @@ def bisimilar(g: StructureGraph, h: StructureGraph) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Dependency graphs for systems in SRF
-
-
-def to_dependency_graph(es: EquationSystem) -> StructureGraph:
-    """The dependency graph of a closed SRF system, as a structure graph.
-
-    One node per variable, in name order, labelled by it and decorated with
-    its right-hand side's connective and its rank; the initial node is the
-    first variable.
-    """
-    if not es.equations:
-        raise BesError("dependency graph of an empty system is undefined")
-    if not is_srf(es):
-        raise BesError("dependency graphs are defined for systems in SRF only")
-    if not is_closed(es):
-        raise BesError("dependency graphs are defined for closed systems only")
-    rank = ranks(es)
-    _require_identifiers(rank)
-    rhs = {eq.lhs: eq.rhs for eq in es}
-    names = sorted(rhs)
-    position = {x: i for i, x in enumerate(names)}
-    connective = {AndSet: AND, OrSet: OR}
-    deco = [Decoration(connective.get(rhs[x].__class__, NONE), rank[x]) for x in names]
-    succ = [sorted(position[y] for y in occ(rhs[x])) for x in names]
-    return StructureGraph(position[es.equations[0].lhs], deco, succ, names, names)
-
-
-# ---------------------------------------------------------------------------
 # Exchange formats
 
 
@@ -460,7 +431,10 @@ def parse_graph(text: str) -> StructureGraph:
         m = _NODE_RE.match(line)
         if m:
             node_id, op, rank, label = m.groups()
-            rank = None if rank == "-" else int(rank)
+            try:
+                rank = None if rank == "-" else int(rank)
+            except ValueError:  # more digits than int() converts
+                raise BesError(f"rank out of range in sgraph line: {line!r}") from None
             if node_id in nodes:
                 raise BesError(f"node {node_id!r} is defined twice")
             nodes[node_id] = (Decoration(Op(op), rank), _unquote(label))

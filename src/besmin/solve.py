@@ -168,14 +168,12 @@ def solve_gauss(es: EquationSystem) -> dict[str, bool]:
     table: dict = {}
 
     def make(op: int, a: int, b: int) -> int:  # folds constants and a op a
-        if a == 1 - op or b == op:
-            return a
-        if b == 1 - op or a == op or a == b:
-            return b
+        if a > b:  # a node is newer than its operands: only b can hold a
+            a, b = b, a
+        if a < 2 or a == b:  # a constant (b too, if both are), or a op a
+            return b if a == op or a == b else a
         if nodes[b] and nodes[b][0] == op and a in nodes[b][1:]:  # a op (a op c)
             return b
-        if nodes[a] and nodes[a][0] == op and b in nodes[a][1:]:  # (b op c) op b
-            return a
         u = table.setdefault((op, a, b), len(nodes))
         if u == len(nodes):
             nodes.append((op, a, b))

@@ -258,15 +258,22 @@ def test_flat_text_is_read_without_the_parser_to_the_same_output(tmp_path, capsy
     with mock.patch("besmin.build.parse_bes", side_effect=AssertionError("parsed")):
         for command, result in zip(commands, expected):
             assert result[0] == 0 and run(capsys, *command, str(flat)) == result, command
-    # with operators that touch the names, the reader declines the ring, which
-    # is parsed to the same output
-    glued = tmp_path / "glued.bes"
+    # the reader declines the ring with operators that touch the names, with a
+    # comment, and with CRLF line ends and a comment; each is parsed to the
+    # same output
+    declined = tmp_path / "declined.bes"
     text = flat.read_text()
-    glued.write_text(text.replace(" = ", "=").replace(" || ", "||").replace(" && ", "&&"))
-    with mock.patch("besmin.build.parse_bes", wraps=bm.parse_bes) as parse:
-        for command, result in zip(commands, expected):
-            assert run(capsys, *command, str(glued)) == result, command
-    assert parse.call_count == len(commands)
+    commented = text.replace(";\n", "; // note\n", 1)
+    for variant in (
+        text.replace(" = ", "=").replace(" || ", "||").replace(" && ", "&&"),
+        commented,
+        commented.replace("\n", "\r\n"),
+    ):
+        declined.write_bytes(variant.encode())
+        with mock.patch("besmin.build.parse_bes", wraps=bm.parse_bes) as parse:
+            for command, result in zip(commands, expected):
+                assert run(capsys, *command, str(declined)) == result, (command, variant)
+        assert parse.call_count == len(commands), variant
     # what the reader declines is parsed and built, and fails as it did
     for text, code, error in (
         ("nu X = X &&;\n", 1, "error: line 1, column 12: expected a formula, got ';'\n"),

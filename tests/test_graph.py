@@ -655,6 +655,7 @@ def test_parse_graph_rejections():
         node.format("1") + "edge a b\n",
         node.format("1").replace("init a", "init b"),
         node.format("1") + 'node a op=none ranks=0 label="b"\nedge a a\n',
+        node.format("9" * 5000),
     ):
         with pytest.raises(bm.BesError):
             bm.parse_graph(text)

@@ -103,6 +103,7 @@ def test_records_are_frozen_values():
     # frozen dataclasses
     x, y = Var("X"), Var("Y")
     es = bm.parse_bes("mu X = X && (Y || true); nu Y = AND{X,Y} || false;")
+    assert len(es) == 2
     for record, field in (
         (x, "name"), (And(x, y), "left"), (es.equations[0], "rhs"), (es, "equations"),
     ):
